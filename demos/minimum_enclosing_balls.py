@@ -6,10 +6,17 @@ shrinking steps, collecting the selected points into a core set.  On small
 2-D and 3-D instances we can afford the exact enumeration oracle and compare.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from bbsvm import approx_meb, exact_meb_small
+from bbsvm import approx_meb
 from bbsvm.meb import AugPoint
+
+# The exact oracle is test code and lives in tests/oracle.py.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracle import exact_meb_small  # noqa: E402
 
 rng = np.random.default_rng(42)
 

@@ -4,15 +4,15 @@
 Each retained ball doubles as a linear separator: its center's direction is
 the normal, and sqrt(kappa^2 - r^2) is the attained margin.  Queries are
 labeled by comparing the summed signed distances of the query and its mirror
-image over the balls that contain them.
+image over the balls that contain them, so a query and its mirror always get
+opposite labels.
 """
 
 import math
 
 import numpy as np
 
-from bbsvm import Dataset, Model, ModelParams, generate_synthetic
-from bbsvm.model import map_test_point, score, support
+from bbsvm import Dataset, Model, ModelParams, SparseVector, generate_synthetic
 
 full = generate_synthetic(n=6000, dim=12, margin=0.2, noise=0.0, seed=3)
 train = Dataset(full.examples[:5000], 12)
@@ -34,10 +34,8 @@ for cs in model.cover.cores[:8]:
     margin = math.sqrt(max(params.kappa**2 - r * r, 0.0))
     print(f"  radius {r:.4f} -> margin {margin:.4f}, |center| {math.sqrt(cs.ball.center.norm2()):.4f}")
 
-print("\nscore anatomy for three queries:")
-for ex in test.examples[:3]:
-    p = map_test_point(ex.x, params)
-    s = score(model.cover, p)
-    sup = support(model.cover, p)
-    print(f"  true {ex.y:+d}: supported by {len(sup)} balls, score {s:+.4f}, "
-          f"predicted {model.classify(ex.x):+d}")
+print("\nthree queries and their mirrors -x:")
+queries = [ex.x for ex in test.examples[:3]]
+mirrors = [SparseVector(x.indices, -x.values) for x in queries]
+for ex, plus, minus in zip(test.examples, model.predict(queries), model.predict(mirrors)):
+    print(f"  true {ex.y:+d}: predicted {plus:+d}, mirror predicted {minus:+d}")

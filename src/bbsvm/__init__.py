@@ -28,26 +28,8 @@ from .experiments import (
     run_experiment,
     write_csv,
 )
-from .meb import (
-    AugPoint,
-    Ball,
-    Center,
-    CoreSet,
-    approx_meb,
-    center_dot,
-    distance2,
-    exact_meb_small,
-    expansion_contains,
-    inner_product,
-)
-from .model import (
-    Model,
-    ModelParams,
-    feature_map,
-    map_test_point,
-    score,
-    support,
-)
+from .meb import AugPoint, Ball, Center, CoreSet, approx_meb
+from .model import Model, ModelParams, feature_map, map_test_point
 from .model_file import ModelFormatError, load_model, save_model
 
 __version__ = "0.1.0"
@@ -71,15 +53,10 @@ __all__ = [
     "SweepRow",
     "TrainingExample",
     "approx_meb",
-    "center_dot",
-    "distance2",
     "epsilon_sweep",
-    "exact_meb_small",
-    "expansion_contains",
     "feature_map",
     "format_libsvm",
     "generate_synthetic",
-    "inner_product",
     "load_libsvm",
     "load_model",
     "map_test_point",
@@ -87,8 +64,6 @@ __all__ = [
     "perceptron_stream",
     "run_experiment",
     "save_model",
-    "score",
     "shuffled",
-    "support",
     "write_csv",
 ]

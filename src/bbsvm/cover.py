@@ -53,6 +53,7 @@ class BlurredBallCover:
         """True iff ``p`` lies outside every (1+eps)-expanded retained ball.
 
         Vacuously true on an empty cover; boundary points count as inside.
+        ``p`` must be fresh: no core member may carry its id (see ``offer``).
         """
         return bool(self._escape_mask([p])[0])
 
@@ -60,7 +61,10 @@ class BlurredBallCover:
         """Buffer ``p``; process the buffer when it reaches capacity.
 
         Returns whether a merge update was performed.  Whenever the buffer
-        is processed it is cleared afterward, merge or not.
+        is processed it is cleared afterward, merge or not.  ``p.id`` must
+        be new to the cover (``Model`` numbers its stream from ``next_id``
+        for this): the escape test ignores slack axes a point shares with a
+        center, and a merge keeps only one point of each id.
         """
         buffer.pending.append(p)
         self.points_seen += 1
@@ -132,16 +136,19 @@ class BlurredBallCover:
         return self._centers, self._center_slack2, self._radii
 
     def _escape_mask(self, pts: list[AugPoint]) -> np.ndarray:
+        """Per point: outside every (1+eps)-expanded retained ball.
+
+        A center's slack coefficients sit on the axes of its core members
+        only, so a point whose id no core member carries meets none of them
+        and its squared distance is the explicit part plus both slack norms.
+        For a core member itself this overstates the distance; callers pass
+        fresh points only.
+        """
         if self._centers is None:
             return np.ones(len(pts), dtype=bool)
         P = np.stack([p.explicit for p in pts])
+        sw = np.array([p.slack_weight for p in pts])
         d2 = ((P[:, None, :] - self._centers[None, :, :]) ** 2).sum(axis=2)
         d2 += self._center_slack2[None, :]
-        for t, p in enumerate(pts):
-            if p.slack_weight != 0.0:
-                d2[t] += p.slack_weight * p.slack_weight
-                for b, cs in enumerate(self.cores):
-                    coeff = cs.ball.center.slack_coeffs.get(p.id)
-                    if coeff:
-                        d2[t, b] -= 2.0 * coeff * p.slack_weight
+        d2 += (sw * sw)[:, None]
         return (d2 > self._limits2[None, :]).all(axis=1)

@@ -21,16 +21,9 @@ import numpy as np
 
 from .cover import BlurredBallCover, Lookahead
 from .data import SparseVector, TrainingExample
-from .meb import AugPoint, Ball, center_dot, distance2
+from .meb import AugPoint
 
-__all__ = [
-    "Model",
-    "ModelParams",
-    "feature_map",
-    "map_test_point",
-    "score",
-    "support",
-]
+__all__ = ["Model", "ModelParams", "feature_map", "map_test_point"]
 
 TEST_POINT_ID = -1
 
@@ -70,6 +63,21 @@ class ModelParams:
         return math.sqrt(2.0 + inv_c)
 
 
+def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
+    """The explicit block ``[sign * x_hat ; sign]`` of a mapped input.
+
+    Raises ``ValueError`` unless ``x`` has a finite nonzero norm, so a NaN
+    or infinite value can never reach a ball.
+    """
+    norm = x.norm()
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"input vector needs a finite nonzero norm, got {norm!r}")
+    explicit = np.zeros(params.dim + 1)
+    explicit[:-1] = x.to_dense(params.dim) * (sign * (1.0 / norm))
+    explicit[-1] = float(sign)
+    return explicit
+
+
 def feature_map(
     x: SparseVector, y: int, params: ModelParams, point_id: int
 ) -> AugPoint:
@@ -80,48 +88,12 @@ def feature_map(
     """
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y!r}")
-    norm = x.norm()
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero input vector")
-    explicit = np.zeros(params.dim + 1)
-    explicit[:-1] = x.to_dense(params.dim) * (y * (1.0 / norm))
-    explicit[-1] = float(y)
-    return AugPoint(explicit, params.slack_weight, point_id, label=y)
+    return AugPoint(_augment(x, y, params), params.slack_weight, point_id, label=y)
 
 
 def map_test_point(x: SparseVector, params: ModelParams) -> AugPoint:
     """Map an unlabeled query to ``[x_hat ; 1]`` with no slack component."""
-    norm = x.norm()
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero input vector")
-    explicit = np.zeros(params.dim + 1)
-    explicit[:-1] = x.to_dense(params.dim) * (1.0 / norm)
-    explicit[-1] = 1.0
-    return AugPoint(explicit, 0.0, TEST_POINT_ID)
-
-
-def support(cover: BlurredBallCover, p: AugPoint) -> list[Ball]:
-    """Balls of the cover that contain ``p`` (closed, unexpanded radii)."""
-    return [
-        cs.ball
-        for cs in cover.cores
-        if distance2(cs.ball.center, p) <= cs.ball.radius**2
-    ]
-
-
-def score(cover: BlurredBallCover, p: AugPoint) -> float:
-    """Sum of ``p``'s signed distances to the separators of its support.
-
-    Each supporting ball contributes ``p . c / |c|``; a supporting ball with
-    a zero-norm center has no separator and raises.
-    """
-    total = 0.0
-    for ball in support(cover, p):
-        norm2 = ball.center.norm2()
-        if norm2 == 0.0:
-            raise ValueError("supporting ball has zero-norm center")
-        total += center_dot(ball.center, p) / math.sqrt(norm2)
-    return total
+    return AugPoint(_augment(x, 1, params), 0.0, TEST_POINT_ID)
 
 
 @dataclass(eq=False)

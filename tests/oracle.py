@@ -1,0 +1,177 @@
+"""Scalar reference geometry that the tests compare the library against.
+
+The library computes distances, escape tests and scores in vectorized form
+only (``BlurredBallCover._escape_mask``, ``Model.predict``).  This module
+keeps the plain one-point, one-ball versions of the same formulas, written
+from the definitions of the augmented space, plus an exact minimum
+enclosing ball for dimension <= 3 to measure ``approx_meb`` against.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from bbsvm.cover import BlurredBallCover
+from bbsvm.meb import AugPoint, Ball, Center
+
+
+def inner_product(p: AugPoint, q: AugPoint) -> float:
+    """Dot product in the augmented space; slack axes meet only on equal ids."""
+    value = float(p.explicit @ q.explicit)
+    if p.id == q.id:
+        value += p.slack_weight * q.slack_weight
+    return value
+
+
+def center_dot(c: Center, p: AugPoint) -> float:
+    """Dot product of a center with a point."""
+    value = float(c.explicit @ p.explicit)
+    coeff = c.slack_coeffs.get(p.id)
+    if coeff is not None:
+        value += coeff * p.slack_weight
+    return value
+
+
+def distance2(c: Center, p: AugPoint) -> float:
+    """Squared distance from a center to a point.
+
+    Slack coefficients on axes other than ``p.id`` contribute their squares;
+    the ``p.id`` axis contributes ``(coeff - slack_weight)**2``.
+    """
+    if c.explicit.shape != p.explicit.shape:
+        raise ValueError(
+            f"dimension mismatch: center has {c.explicit.shape[0]}, "
+            f"point has {p.explicit.shape[0]}"
+        )
+    diff = c.explicit - p.explicit
+    total = float(diff @ diff)
+    coeff = c.slack_coeffs.get(p.id, 0.0)
+    total += c.slack_norm2() - coeff * coeff + (coeff - p.slack_weight) ** 2
+    return total
+
+
+def expansion_contains(b: Ball, p: AugPoint, eps: float) -> bool:
+    """Closed membership test against the (1+eps)-expanded ball."""
+    limit = (1.0 + eps) * b.radius
+    return distance2(b.center, p) <= limit * limit
+
+
+def support(cover: BlurredBallCover, p: AugPoint) -> list[Ball]:
+    """Balls of the cover that contain ``p`` (closed, unexpanded radii)."""
+    return [
+        cs.ball
+        for cs in cover.cores
+        if distance2(cs.ball.center, p) <= cs.ball.radius**2
+    ]
+
+
+def score(cover: BlurredBallCover, p: AugPoint) -> float:
+    """Sum of ``p``'s signed distances to the separators of its support.
+
+    Each supporting ball contributes ``p . c / |c|``; a supporting ball with
+    a zero-norm center has no separator and raises.
+    """
+    total = 0.0
+    for ball in support(cover, p):
+        norm2 = ball.center.norm2()
+        if norm2 == 0.0:
+            raise ValueError("supporting ball has zero-norm center")
+        total += center_dot(ball.center, p) / math.sqrt(norm2)
+    return total
+
+
+_combo_cache: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _combinations(n: int, k: int) -> np.ndarray:
+    """Index array of all k-subsets of range(n), cached."""
+    key = (n, k)
+    if key not in _combo_cache:
+        _combo_cache[key] = np.array(
+            list(itertools.combinations(range(n), k)), dtype=np.intp
+        )
+    return _combo_cache[key]
+
+
+def _hull_vertices(pts: np.ndarray) -> np.ndarray:
+    """Indices of convex-hull vertices (all indices when the hull degenerates)."""
+    n, d = pts.shape
+    if d < 2 or n <= d + 2:
+        return np.arange(n)
+    try:
+        from scipy.spatial import ConvexHull
+
+        return np.sort(ConvexHull(pts).vertices)
+    except Exception:  # degenerate (flat) inputs: fall back to everything
+        return np.arange(n)
+
+
+def _circumcenters(subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centers of the smallest balls having each point subset on the boundary.
+
+    ``subsets`` has shape (N, k, d).  Returns the (N, d) centers and a mask
+    of the affinely independent subsets for which the center is defined.
+    """
+    p0 = subsets[:, 0, :]
+    U = subsets[:, 1:, :] - p0[:, None, :]
+    A = U @ np.transpose(U, (0, 2, 1))
+    rn2 = np.einsum("nij,nij->ni", U, U)
+    b = 0.5 * rn2
+    det = np.linalg.det(A)
+    ok = np.abs(det) > 1e-12 * np.maximum(rn2.prod(axis=1), 1e-300)
+    centers = np.array(p0, copy=True)
+    if ok.any():
+        beta = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
+        centers[ok] = p0[ok] + np.einsum("ni,nid->nd", beta, U[ok])
+    return centers, ok
+
+
+def exact_meb_small(points) -> tuple[np.ndarray, float]:
+    """Exact minimum enclosing ball of raw vectors in dimension <= 3.
+
+    Every minimum enclosing ball is determined by an affinely independent
+    set of at most dim+1 boundary points, so enumerating the circumsphere of
+    every such subset (restricted to convex-hull vertices, which is where
+    boundary points live) and keeping the smallest enclosing candidate is
+    exact.  Intended as a test oracle; cost grows combinatorially with the
+    hull size.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n, d = pts.shape
+    if n == 0:
+        raise ValueError("exact_meb_small requires at least one point")
+    if d > 3:
+        raise ValueError("exact_meb_small supports dimension <= 3 only")
+
+    uniq = np.unique(pts, axis=0)
+    if len(uniq) == 1:
+        return uniq[0].copy(), 0.0
+
+    hull = _hull_vertices(uniq)
+    un2 = np.einsum("nd,nd->n", uniq, uniq)
+    best_center: np.ndarray | None = None
+    best_r2 = math.inf
+    for k in range(2, min(len(hull), d + 1) + 1):
+        combos = _combinations(len(hull), k)
+        subsets = uniq[hull[combos]]
+        centers, ok = _circumcenters(subsets)
+        diff = centers - subsets[:, 0, :]
+        r2 = np.einsum("nd,nd->n", diff, diff)
+        cn2 = np.einsum("nd,nd->n", centers, centers)
+        dist2_max = (cn2[:, None] + un2[None, :] - 2.0 * (centers @ uniq.T)).max(axis=1)
+        encloses = dist2_max <= r2 * (1.0 + 1e-10) + 1e-12 * cn2
+        valid = ok & encloses
+        if valid.any():
+            idx = np.flatnonzero(valid)
+            pick = idx[int(np.argmin(r2[idx]))]
+            if r2[pick] < best_r2:
+                best_r2 = float(r2[pick])
+                best_center = centers[pick].copy()
+    if best_center is None:  # unreachable for nondegenerate inputs
+        raise RuntimeError("no enclosing candidate found")
+    return best_center, math.sqrt(best_r2)

@@ -13,8 +13,9 @@ import pytest
 from bbsvm.cover import BlurredBallCover, Lookahead
 from bbsvm.data import Dataset, generate_synthetic, load_libsvm, shuffled
 from bbsvm.experiments import epsilon_sweep, perceptron_stream, run_experiment
-from bbsvm.meb import AugPoint, approx_meb, exact_meb_small
-from bbsvm.model import Model, ModelParams, feature_map, map_test_point, support
+from bbsvm.meb import AugPoint, approx_meb
+from bbsvm.model import Model, ModelParams, feature_map, map_test_point
+from oracle import exact_meb_small, expansion_contains, support
 
 DATASET_DIR = Path(__file__).resolve().parents[1] / "datasets"
 
@@ -83,7 +84,10 @@ class _CheckingCover(BlurredBallCover):
         self.merge_count += 1
         cut = (self.epsilon / 4.0) * self.cores[-1].ball.radius
         assert min(cs.ball.radius for cs in self.cores) >= cut
-        assert not self._escape_mask(buf).any()
+        for p in buf:
+            assert any(
+                expansion_contains(cs.ball, p, self.epsilon) for cs in self.cores
+            )
 
 
 def _stream_signature(cover):

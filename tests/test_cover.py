@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbsvm.cover import BlurredBallCover, Lookahead
-from bbsvm.meb import AugPoint, Ball, Center, CoreSet, approx_meb, distance2
+from bbsvm.data import generate_synthetic
+from bbsvm.meb import AugPoint, Ball, Center, CoreSet, approx_meb
+from bbsvm.model import Model, ModelParams, feature_map
+from oracle import distance2, expansion_contains
 
 
 def raw(vec, pid):
@@ -33,7 +38,10 @@ class CheckingCover(BlurredBallCover):
         newest = self.cores[-1].ball
         cut = (self.epsilon / 4.0) * newest.radius
         assert all(cs.ball.radius >= cut for cs in self.cores)
-        assert not self._escape_mask(buf).any()
+        for p in buf:
+            assert any(
+                expansion_contains(cs.ball, p, self.epsilon) for cs in self.cores
+            )
 
 
 # --------------------------------------------------------------------- escapes
@@ -59,6 +67,37 @@ def test_escapes_boundary_counts_as_inside():
     # distance exactly (1 + eps) * r = 1.5
     assert not cover.escapes(raw([1.5, 0.0], 1))
     assert cover.escapes(raw([1.5000001, 0.0], 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    dim=st.integers(2, 6),
+    C=st.sampled_from([0.5, 1.0, 10.0, 100.0]),
+    eps=st.sampled_from([0.3, 0.1, 0.03]),
+    lookahead=st.integers(0, 10),
+)
+def test_escapes_matches_exact_distances_on_trained_covers(
+    seed, n, dim, C, eps, lookahead
+):
+    # A fresh point escapes iff its exact distance to every retained center
+    # exceeds (1+eps) r; the vectorized test drops only slack cross terms,
+    # which vanish for ids that no core member carries.
+    ds = generate_synthetic(n + 30, dim, 0.0, 0.05, seed=seed)
+    model = Model(ModelParams(dim=dim, epsilon=eps, C=C, lookahead=lookahead))
+    model.train_stream(ds.examples[:n])
+    cover = model.cover
+    for k, ex in enumerate(ds.examples[n:]):
+        y = ex.y if k % 2 else -ex.y  # a flipped label mostly escapes
+        p = feature_map(ex.x, y, model.params, model.next_id + k)
+        pairs = [
+            (distance2(cs.ball.center, p), ((1.0 + eps) * cs.ball.radius) ** 2)
+            for cs in cover.cores
+        ]
+        if any(abs(d2 - lim2) <= 1e-9 * lim2 for d2, lim2 in pairs):
+            continue  # on a boundary the two summation orders may disagree
+        assert cover.escapes(p) == all(d2 > lim2 for d2, lim2 in pairs)
 
 
 # ----------------------------------------------------------------------- offer

@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bbsvm.meb import (
-    AugPoint,
-    Ball,
-    Center,
-    approx_meb,
-    distance2,
-    exact_meb_small,
-    expansion_contains,
-    inner_product,
-)
+from bbsvm.meb import AugPoint, Ball, Center, approx_meb
+from oracle import distance2, exact_meb_small, expansion_contains, inner_product
 
 
 def raw(vec, pid, sw=0.0, label=None):
@@ -156,15 +148,17 @@ def test_approx_meb_near_optimal_vs_oracle():
 
 
 def test_approx_meb_slack_bookkeeping_consistency():
-    # With every slack weight zero, forcing the slack path changes nothing.
+    # Zero slack weights leave the center without slack coefficients; with
+    # nonzero ones the radius is the oracle's distance to the farthest input.
     rng = np.random.default_rng(3)
-    pts = [raw(v, i) for i, v in enumerate(rng.normal(size=(40, 6)))]
-    b_on, c_on = approx_meb(pts, 0.01, use_slack=True)
-    b_off, c_off = approx_meb(pts, 0.01, use_slack=False)
-    assert np.array_equal(b_on.center.explicit, b_off.center.explicit)
-    assert b_on.radius == b_off.radius
-    assert b_on.center.slack_coeffs == {}
-    assert [p.id for p in c_on.members] == [p.id for p in c_off.members]
+    vecs = rng.normal(size=(40, 6))
+    ball, _ = approx_meb([raw(v, i) for i, v in enumerate(vecs)], 0.01)
+    assert ball.center.slack_coeffs == {}
+    pts = [raw(v, i, sw=0.5) for i, v in enumerate(vecs)]
+    ball, core = approx_meb(pts, 0.01)
+    assert set(ball.center.slack_coeffs) == {p.id for p in core.members}
+    farthest2 = max(distance2(ball.center, p) for p in pts)
+    assert math.isclose(ball.radius**2, farthest2, rel_tol=1e-12)
 
 
 def test_approx_meb_finite_slack_center_combination():

@@ -1,19 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bbsvm.cover import BlurredBallCover
-from bbsvm.data import Dataset, SparseVector, TrainingExample, generate_synthetic
-from bbsvm.meb import AugPoint, Ball, Center, CoreSet, center_dot
-from bbsvm.model import (
-    Model,
-    ModelParams,
-    feature_map,
-    map_test_point,
-    score,
-    support,
+from bbsvm.data import (
+    Dataset,
+    SparseVector,
+    TrainingExample,
+    generate_synthetic,
+    parse_libsvm,
 )
+from bbsvm.meb import AugPoint, Ball, Center, CoreSet
+from bbsvm.model import Model, ModelParams, feature_map, map_test_point
+from oracle import center_dot, score, support
 
 
 def sv(*values):
@@ -59,6 +63,26 @@ def test_feature_map_errors():
         feature_map(SparseVector(np.array([1]), np.array([0.0])), 1, params, 0)
     with pytest.raises(ValueError, match="label"):
         feature_map(sv(1.0, 0.0), 2, params, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_feature_map_rejects_non_finite_values(bad):
+    params = ModelParams(dim=2, C=1.0)
+    x = sv(bad, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        feature_map(x, 1, params, 0)
+    with pytest.raises(ValueError, match="finite"):
+        map_test_point(x, params)
+
+
+def test_non_finite_input_never_reaches_a_ball():
+    ds = parse_libsvm(["+1 1:0.5 2:1", "+1 1:nan 2:1"])
+    model = Model(ModelParams(dim=2, lookahead=0))
+    with pytest.raises(ValueError, match="training example 1"):
+        model.train_stream(ds.examples)
+    model = Model(ModelParams(dim=2)).train_stream(ds.examples[:1])
+    with pytest.raises(ValueError, match="finite"):
+        model.predict([ds.examples[0].x, ds.examples[1].x])
 
 
 def test_map_test_point_mirrors_positive_map():
@@ -282,3 +306,27 @@ def test_support_disjoint_for_mirrored_queries():
         sup_p = {id(b) for b in support(model.cover, p)}
         sup_n = {id(b) for b in support(model.cover, neg)}
         assert not (sup_p & sup_n)
+
+
+def test_library_runs_without_scipy():
+    # scipy serves only the test oracle; the library must not import it.
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import bbsvm\n"
+        "ds = bbsvm.generate_synthetic(200, 4, 0.2, 0.0, seed=1)\n"
+        "model = bbsvm.Model(bbsvm.ModelParams(dim=4, epsilon=0.01, C=10.0))\n"
+        "model.train_stream(ds.examples)\n"
+        "print(len(model.predict([ex.x for ex in ds.examples])))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "200"
