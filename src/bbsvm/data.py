@@ -7,6 +7,7 @@ for linearly separable data, and reproducible stream shuffling.
 from __future__ import annotations
 
 import gzip
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -39,7 +40,16 @@ class SparseVector:
     values: np.ndarray
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        v = self.values
+        norm = math.sqrt(float(v.dot(v)))  # what np.linalg.norm computes
+        if norm == math.inf or (norm == 0.0 and v.any()):
+            # The squares overflowed or underflowed: rescale by the largest
+            # magnitude.  Other inputs keep the plain norm bit for bit.
+            scale = float(np.abs(v).max())
+            if scale < math.inf:
+                u = v / scale
+                norm = scale * math.sqrt(float(u.dot(u)))
+        return norm
 
     def to_dense(self, dim: int) -> np.ndarray:
         if self.indices.size and int(self.indices[-1]) > dim:

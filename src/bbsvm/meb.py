@@ -6,6 +6,9 @@ centers are convex combinations of such points, so a center's slack
 component is a sparse map from point id to coefficient.  All slack axes are
 mutually orthogonal and orthogonal to the explicit block, which keeps every
 inner product computable without ever building the full-dimensional space.
+
+``approx_meb`` runs Badoiu-Clarkson on integer pick counts (the center is
+the mean of the points picked so far); ties go to the lowest point id.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ __all__ = [
     "approx_meb",
 ]
 
-# Never cache the Gram matrix above this input size (memory cap); below it
-# the solver still weighs the build cost against the expected loop length.
+# Above this input size the solver recomputes a step row on every pick
+# instead of caching one row per distinct pick (memory cap).
 _GRAM_LIMIT = 2048
 
 
@@ -78,26 +81,23 @@ class CoreSet:
     ball: Ball
 
 
-def _farthest(d2: np.ndarray, ids: np.ndarray) -> int:
-    """Index of the max entry; ties broken toward the lowest id."""
-    j = int(np.argmax(d2))
-    ties = np.flatnonzero(d2 == d2[j])
-    if ties.size > 1:
-        j = int(ties[np.argmin(ids[ties])])
-    return j
-
-
 def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]:
     """Badoiu-Clarkson core-set iteration with a duality-gap early exit.
 
     Starting from the first input point, the center repeatedly moves a
-    1/(i+1) step toward the farthest input.  The loop stops as soon as the
-    farthest distance is within (1+delta) of a certified lower bound on the
-    optimal radius, or after ceil(1/delta^2) steps; the classical analysis
-    guarantees the returned radius is at most (1+delta) times optimal either
-    way.  The lower bound combines half the first farthest-pair distance
-    with the weak-duality value ``sum_i a_i |p_i|^2 - |c|^2`` of the
-    maintained convex weights ``a``.
+    1/(i+1) step toward the farthest input, so after n picks it is the mean
+    ``P/n`` of the picks (with repetition).  The loop keeps
+    ``h_k = n|p_k|^2 - 2<P, p_k>``, whose argmax is the farthest input,
+    ``T = |P|^2`` and the sum ``M`` of the picked squared norms; a step adds
+    one cached row ``|p|^2 - 2 K[j, :]`` to ``h``.  Ties for the farthest
+    point go to the lowest id.
+
+    The loop stops as soon as the farthest distance is within (1+delta) of
+    a certified lower bound on the optimal radius, or after ceil(1/delta^2)
+    steps; the classical analysis guarantees the returned radius is at most
+    (1+delta) times optimal either way.  The lower bound combines half the
+    first farthest-pair distance with the weak-duality value
+    ``M/n - T/n^2`` of the convex weights ``counts/n``.
 
     Returns the ball (radius = exact max distance from the final center to
     any input, so containment holds by construction) and the core set of
@@ -118,76 +118,64 @@ def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]
     has_slack = bool(np.any(sw != 0.0))
 
     en2 = np.einsum("ij,ij->i", E, E)
-    sw2 = sw * sw
-    pn2 = en2 + sw2 if has_slack else en2
+    pn2 = en2 + sw * sw if has_slack else en2
 
     cap = math.ceil(1.0 / (delta * delta))
     threshold = (1.0 + delta) ** 2
 
-    alpha = np.zeros(m)
-    alpha[0] = 1.0
-    selected = [0]
-    is_member = np.zeros(m, dtype=bool)
-    is_member[0] = True
+    # In id order np.argmax's first maximal index is the lowest id.
+    order = np.argsort(ids, kind="stable")
+    Es = E[order]
+    sn2 = pn2[order]
+    sn2_list = sn2.tolist()
+    j = int(order.argmin())  # where input 0 sits in id order
+    hj = 0.0
 
-    # A cached Gram matrix turns each iteration from O(m * dim) into O(m),
-    # but costs O(m^2 * dim) to build; only worth it when the loop is long.
-    gram = m <= _GRAM_LIMIT and min(cap, int(3.0 / delta) + 1) > m
-    if gram:
-        G = E @ E.T
-        # q[j] = <center, p_j>, maintained incrementally.
-        q = G[0].copy()
-        if has_slack:
-            q[0] += sw2[0]
-        c2 = float(pn2[0])
-        m2 = float(pn2[0])
-    else:
-        ce = E[0].copy()
-
+    rows: dict[int, np.ndarray] = {}
+    h = np.zeros(m)
+    counts = [0] * m
+    selected: list[int] = []
+    n = 0
+    T = 0.0  # |P|^2
+    M = 0.0  # sum of |p|^2 over the picks
     lower2 = 0.0
-    for i in range(1, cap + 1):
-        if not gram:
-            q = E @ ce
-            c2 = float(ce @ ce)
-            if has_slack:
-                q = q + alpha * sw2
-                cs = alpha * sw
-                c2 += float(cs @ cs)
-            m2 = float(alpha @ pn2)
-        d2 = c2 + pn2 - 2.0 * q
-        j = _farthest(d2, ids)
-        dmax2 = max(float(d2[j]), 0.0)
-        if i == 1:
+    while True:
+        row = rows.get(j)
+        if row is None:
+            # Slack axes meet only on the diagonal, which is set to exactly
+            # -|p_j|^2.  einsum sums like en2 above, so a lone point and
+            # coincident points reach dmax^2 = 0 bitwise and stop at once
+            # instead of running to the cap.
+            row = sn2 - 2.0 * np.einsum("ij,j->i", Es, Es[j])
+            row[j] = -sn2_list[j]
+            if m <= _GRAM_LIMIT:
+                rows[j] = row
+        if counts[j] == 0:
+            selected.append(j)
+        counts[j] += 1
+        pj = sn2_list[j]
+        T += (n * pj - hj) + pj
+        M += pj
+        h += row
+        n += 1
+        if n > cap:
+            break
+        j = int(h.argmax())
+        hj = float(h[j])
+        n2 = n * n
+        dmax2 = max(hj / n + T / n2, 0.0)
+        if n == 1:
             # The start center is an input point, so dmax is a pairwise
             # distance and half of it lower-bounds the optimal radius.
-            lower2 = max(lower2, 0.25 * dmax2)
-        lower2 = max(lower2, m2 - c2)
+            lower2 = 0.25 * dmax2
+        lower2 = max(lower2, M / n - T / n2)
         if dmax2 <= threshold * lower2:
             break
-        gamma = 1.0 / (i + 1.0)
-        if gram:
-            if has_slack and sw2[j] != 0.0:
-                kcol = G[j].copy()
-                kcol[j] += sw2[j]
-            else:
-                kcol = G[j]
-            c2 = (
-                (1.0 - gamma) ** 2 * c2
-                + 2.0 * gamma * (1.0 - gamma) * float(q[j])
-                + gamma * gamma * float(pn2[j])
-            )
-            q = (1.0 - gamma) * q + gamma * kcol
-            m2 = (1.0 - gamma) * m2 + gamma * float(pn2[j])
-        else:
-            ce = (1.0 - gamma) * ce + gamma * E[j]
-        alpha *= 1.0 - gamma
-        alpha[j] += gamma
-        if not is_member[j]:
-            is_member[j] = True
-            selected.append(j)
 
     # Reconstruct the center exactly from the weights and measure the true
     # max distance; any drift in the incremental quantities drops out here.
+    alpha = np.empty(m)
+    alpha[order] = np.array(counts, dtype=float) / n
     ce = alpha @ E
     diff = E - ce
     d2 = np.einsum("ij,ij->i", diff, diff)
@@ -201,5 +189,5 @@ def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]
         coeffs = {}
     radius = math.sqrt(max(float(d2.max()), 0.0))
     ball = Ball(Center(ce, coeffs), radius)
-    core = CoreSet([points[k] for k in selected], ball)
+    core = CoreSet([points[int(order[k])] for k in selected], ball)
     return ball, core

@@ -66,12 +66,15 @@ class ModelParams:
 def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
     """The explicit block ``[sign * x_hat ; sign]`` of a mapped input.
 
-    Raises ``ValueError`` unless ``x`` has a finite nonzero norm, so a NaN
-    or infinite value can never reach a ball.
+    Raises ``ValueError`` unless ``x`` has a finite nonzero norm with a
+    finite reciprocal, so a NaN or infinite value can never reach a ball.
     """
     norm = x.norm()
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"input vector needs a finite nonzero norm, got {norm!r}")
+    if not 0.0 < norm < math.inf or 1.0 / norm == math.inf:
+        raise ValueError(
+            f"input vector needs a finite nonzero norm with a finite "
+            f"reciprocal, got {norm!r}"
+        )
     explicit = np.zeros(params.dim + 1)
     explicit[:-1] = x.to_dense(params.dim) * (sign * (1.0 / norm))
     explicit[-1] = float(sign)
@@ -133,13 +136,19 @@ class Model:
         For each query p the decision is sign(S(p) - S(-p)) where S sums
         the signed distances over the balls containing its argument; exact
         ties fall back to the sign of the summed distances over all balls,
-        and +1 if that is still zero.
+        and +1 if that is still zero.  A query that cannot be mapped raises
+        ``ValueError`` naming its position.
         """
         arrays = self.cover.query_arrays()
         if arrays is None:
             raise ValueError("model has no balls; train before classifying")
         centers, center_slack2, radii = arrays
-        P = np.stack([map_test_point(x, self.params).explicit for x in xs])
+        P = np.empty((len(xs), self.params.dim + 1))
+        for position, x in enumerate(xs):
+            try:
+                P[position] = _augment(x, 1, self.params)
+            except ValueError as err:
+                raise ValueError(f"query {position}: {err}") from err
 
         cen2 = np.einsum("ij,ij->i", centers, centers)
         norms2 = cen2 + center_slack2

@@ -1,4 +1,5 @@
 import gzip
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from bbsvm.data import (
     load_libsvm,
     parse_libsvm,
     shuffled,
+    SparseVector,
 )
 
 
@@ -75,6 +77,24 @@ def test_round_trip_preserves_awkward_floats():
     again = parse_libsvm(format_libsvm(ds))
     for a, b in zip(ds.examples, again.examples):
         assert np.array_equal(a.x.values, b.x.values)  # exact decimal round-trip
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sparse_vector_norm():
+    rng = np.random.default_rng(12)
+    for scale in (1e-3, 1.0, 1e3):
+        for n in (1, 5, 60):
+            values = rng.normal(size=n) * scale
+            x = SparseVector(np.arange(1, n + 1), values)
+            assert x.norm() == float(np.linalg.norm(values))
+    # Squares that overflow or underflow are rescaled instead.
+    for value in (1e200, 1e-200, 5e-324):
+        x = SparseVector(np.array([1, 2]), np.array([value, -value]))
+        assert math.isclose(x.norm(), value * math.sqrt(2.0), rel_tol=1e-15)
+    assert SparseVector(np.array([1]), np.array([0.0])).norm() == 0.0
+    assert SparseVector(np.array([], dtype=int), np.array([])).norm() == 0.0
+    assert SparseVector(np.array([1]), np.array([math.inf])).norm() == math.inf
+    assert math.isnan(SparseVector(np.array([1]), np.array([math.nan])).norm())
 
 
 def test_load_libsvm_gzip(tmp_path):

@@ -1,10 +1,19 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbsvm.meb import AugPoint, Ball, Center, approx_meb
-from oracle import distance2, exact_meb_small, expansion_contains, inner_product
+from oracle import (
+    distance2,
+    exact_meb_small,
+    expansion_contains,
+    inner_product,
+    reference_badoiu_clarkson,
+)
 
 
 def raw(vec, pid, sw=0.0, label=None):
@@ -173,6 +182,69 @@ def test_approx_meb_finite_slack_center_combination():
     # both points end up equidistant from the center
     d0, d1 = distance2(ball.center, pts[0]), distance2(ball.center, pts[1])
     assert math.isclose(d0, d1, rel_tol=1e-9)
+
+
+def test_approx_meb_walks_the_reference_iterates():
+    # Seeded draws rather than hypothesis: exactly symmetric inputs tie,
+    # and rounding may break such a tie differently in the two loops.
+    rng = np.random.default_rng(2024)
+    for instance in range(200):
+        dim = int(rng.integers(2, 26))
+        m = int(rng.integers(1, 81))
+        vecs = rng.normal(size=(m, dim))
+        ids = rng.permutation(4 * m)[:m]
+        sw = 0.5 if instance % 2 else 0.0
+        delta = (0.1, 0.01, 0.003)[instance % 3]
+        pts = [raw(v, int(i), sw=sw) for v, i in zip(vecs, ids)]
+        ball, core = approx_meb(pts, delta)
+        want_ball, want_core = reference_badoiu_clarkson(pts, delta)
+        assert [p.id for p in core.members] == [p.id for p in want_core.members], (
+            f"instance {instance}"
+        )
+        assert math.isclose(ball.radius, want_ball.radius, rel_tol=1e-12), (
+            f"instance {instance}"
+        )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.integers(1, 3),
+    delta=st.sampled_from([0.2, 0.05, 0.01]),
+    data=st.data(),
+)
+def test_approx_meb_contains_inputs_within_one_plus_delta(dim, delta, data):
+    coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    point = st.lists(coords, min_size=dim, max_size=dim)
+    vecs = np.array(data.draw(st.lists(point, min_size=1, max_size=12)))
+    ball, _ = approx_meb([raw(v, i) for i, v in enumerate(vecs)], delta)
+    dists = np.linalg.norm(vecs - ball.center.explicit, axis=1)
+    assert dists.max() <= ball.radius * (1.0 + 1e-12) + 1e-12
+    _, r_star = exact_meb_small(vecs)
+    assert ball.radius <= (1.0 + delta) * r_star * (1.0 + 1e-9) + 1e-9
+
+
+@pytest.mark.parametrize("copies, sw", [(1, 0.0), (1, 0.5), (3, 0.0)])
+def test_approx_meb_coincident_points_stop_at_zero_radius(copies, sw):
+    # Rounding must not leave a point a hair away from itself or from its
+    # copies: at delta = 1e-4 the step cap is 10^8, so a missed exit at the
+    # first check would run for minutes.
+    rng = np.random.default_rng(5)
+    start = time.perf_counter()
+    for _ in range(20):
+        vec = rng.normal(size=int(rng.integers(2, 300)))
+        pts = [raw(vec.copy(), 10 - i, sw=sw) for i in range(copies)]
+        ball, core = approx_meb(pts, 1e-4)
+        assert ball.radius == 0.0
+        assert np.array_equal(ball.center.explicit, vec)
+        assert [p.id for p in core.members] == [10]
+    assert time.perf_counter() - start < 0.5
+
+
+def test_approx_meb_ties_go_to_the_lowest_id():
+    # From the start point both others are exactly equally far.
+    pts = [raw([0.0, 0.0], 5), raw([1.0, 0.0], 9), raw([-1.0, 0.0], 2)]
+    _, core = approx_meb(pts, 0.1)
+    assert [p.id for p in core.members] == [5, 2, 9]
 
 
 # -------------------------------------------------------------- exact_meb_small

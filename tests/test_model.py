@@ -85,6 +85,36 @@ def test_non_finite_input_never_reaches_a_ball():
         model.predict([ds.examples[0].x, ds.examples[1].x])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_extreme_magnitudes_train_and_predict_like_unit_values():
+    # The squares of 1e200 overflow and those of 1e-200 underflow; the norm
+    # rescales, so both rows map exactly like "+1 1:1 2:1".
+    tail = ["-1 1:1 2:-3", "+1 1:2 2:0.5"]
+    reference = parse_libsvm(["+1 1:1 2:1"] + tail).examples
+    params = ModelParams(dim=2, lookahead=0)
+    expected = Model(params).train_stream(reference)
+    queries = [ex.x for ex in reference]
+    for value in ("1e200", "1e-200"):
+        ds = parse_libsvm([f"+1 1:{value} 2:{value}"] + tail)
+        model = Model(params).train_stream(ds.examples)
+        assert len(model.cover.cores) == len(expected.cover.cores)
+        for got, want in zip(model.cover.cores, expected.cover.cores):
+            assert got.ball.radius == want.ball.radius
+            assert np.array_equal(got.ball.center.explicit, want.ball.center.explicit)
+        assert np.array_equal(
+            model.predict([ds.examples[0].x] + queries[1:]),
+            expected.predict(queries),
+        )
+
+
+def test_norm_without_finite_reciprocal_is_rejected():
+    # sqrt(2) * 1e-310 is nonzero, but 1 / norm overflows to inf.
+    x = parse_libsvm(["+1 1:1e-310 2:1e-310"]).examples[0].x
+    assert 0.0 < x.norm() < 1e-300
+    with pytest.raises(ValueError, match="finite reciprocal"):
+        feature_map(x, 1, ModelParams(dim=2), 0)
+
+
 def test_map_test_point_mirrors_positive_map():
     params = ModelParams(dim=2, C=1.0)  # slack must still be 0 for queries
     q = map_test_point(sv(3.0, 4.0), params)
@@ -214,6 +244,23 @@ def test_classify_requires_training():
     model = Model(ModelParams(dim=2))
     with pytest.raises(ValueError, match="no balls"):
         model.classify(sv(1.0, 0.0))
+
+
+def test_predict_empty_batch_returns_empty_labels():
+    model = Model(ModelParams(dim=2))
+    with pytest.raises(ValueError, match="no balls"):
+        model.predict([])
+    model.train_stream([TrainingExample(sv(1.0, 0.0), 1)])
+    labels = model.predict([])
+    assert labels.shape == (0,) and labels.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_predict_error_names_the_query(bad):
+    model = Model(ModelParams(dim=2)).train_stream([TrainingExample(sv(1.0, 0.0), 1)])
+    queries = [sv(1.0, 0.0), sv(0.5, 0.5), sv(bad, 0.0)]
+    with pytest.raises(ValueError, match="query 2: input vector needs a finite"):
+        model.predict(queries)
 
 
 def test_classify_single_ball_sign_symmetry():
