@@ -22,7 +22,6 @@ from .experiments import (
     CSV_HEADER,
     ExperimentReport,
     RunResult,
-    SweepRow,
     epsilon_sweep,
     perceptron_stream,
     run_experiment,
@@ -50,7 +49,6 @@ __all__ = [
     "ModelParams",
     "RunResult",
     "SparseVector",
-    "SweepRow",
     "TrainingExample",
     "approx_meb",
     "epsilon_sweep",

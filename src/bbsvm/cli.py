@@ -6,10 +6,11 @@ Exit codes: 0 success, 1 usage error, 2 data or model error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from .data import DataFormatError, generate_synthetic, format_libsvm, load_libsvm
-from .experiments import epsilon_sweep, run_experiment, write_csv, SweepRow
+from .experiments import epsilon_sweep, run_experiment, write_csv
 from .model import Model, ModelParams
 from .model_file import ModelFormatError, load_model, save_model
 
@@ -79,6 +80,12 @@ def _add_model_flags(cmd) -> None:
     cmd.add_argument("--delta", type=float, default=None, help="default epsilon/2")
 
 
+def _model_params(args, dim: int) -> ModelParams:
+    return ModelParams(
+        dim=dim, epsilon=args.epsilon, C=args.C, lookahead=args.L, delta=args.delta
+    )
+
+
 def _load_nonempty(path):
     dataset = load_libsvm(path)
     if not dataset.examples:
@@ -102,14 +109,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = _load_nonempty(args.data)
-    params = ModelParams(
-        dim=dataset.dim,
-        epsilon=args.epsilon,
-        C=args.C,
-        lookahead=args.L,
-        delta=args.delta,
-    )
-    model = Model(params).train_stream(dataset.examples)
+    model = Model(_model_params(args, dataset.dim)).train_stream(dataset.examples)
     save_model(model, args.model)
     return 0
 
@@ -125,49 +125,23 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _report_csv(rows, out) -> None:
-    import io
-
+def _report_csv(reports, out) -> None:
     buf = io.StringIO()
-    write_csv(rows, buf)
+    write_csv(reports, buf)
     _write_text(out, buf.getvalue())
 
 
 def _cmd_eval(args) -> int:
     train = _load_nonempty(args.train)
     test = _load_nonempty(args.test)
-    params = ModelParams(
-        dim=max(train.dim, test.dim),
-        epsilon=args.epsilon,
-        C=args.C,
-        lookahead=args.L,
-        delta=args.delta,
-    )
-    report = run_experiment(train, test, params, args.runs, args.seed)
-    row = SweepRow(
-        epsilon=args.epsilon,
-        lookahead=args.L,
-        runs=args.runs,
-        mean_accuracy=report.mean_accuracy,
-        std_accuracy=report.accuracy_std,
-        mean_train_seconds=report.mean_time,
-        mean_balls=report.mean_balls,
-        mean_core_points=report.mean_core_points,
-    )
-    _report_csv([row], args.out)
+    params = _model_params(args, max(train.dim, test.dim))
+    _report_csv([run_experiment(train, test, params, args.runs, args.seed)], args.out)
     return 0
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
+def _parse_list(text: str, kind, what: str) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise _UsageError(f"bad {what} list: {text!r}") from None
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise _UsageError(f"bad {what} list: {text!r}") from None
 
@@ -175,8 +149,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 def _cmd_sweep(args) -> int:
     train = _load_nonempty(args.train)
     test = _load_nonempty(args.test)
-    epsilons = _parse_float_list(args.epsilons, "epsilon")
-    lookaheads = _parse_int_list(args.lookaheads, "lookahead")
+    epsilons = _parse_list(args.epsilons, float, "epsilon")
+    lookaheads = _parse_list(args.lookaheads, int, "lookahead")
     params = ModelParams(dim=max(train.dim, test.dim), C=args.C)
     rows = epsilon_sweep(train, test, params, epsilons, args.runs, lookaheads, args.seed)
     _report_csv(rows, args.out)

@@ -92,8 +92,9 @@ def parse_libsvm(lines: Iterable[str] | str) -> Dataset:
     """Parse LIBSVM-format text: ``<label> <idx>:<val> ...`` per line.
 
     Labels +1/1 map to +1; -1 and 0 map to -1.  Indices are 1-based and must
-    be strictly increasing within a line.  ``#`` starts a comment that runs
-    to the end of the line; blank lines are skipped.
+    be strictly increasing within a line, and values must be finite.  ``#``
+    starts a comment that runs to the end of the line; blank lines are
+    skipped.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
@@ -129,6 +130,12 @@ def parse_libsvm(lines: Iterable[str] | str) -> Dataset:
             vals.append(val)
         if not idxs:
             raise DataFormatError(f"line {lineno}: no features")
+        if not math.isfinite(sum(vals)):  # NaN and inf propagate; cheap per line
+            bad = [t for t, v in zip(tokens[1:], vals) if not math.isfinite(v)]
+            if bad:  # else the sum of finite values overflowed
+                raise DataFormatError(
+                    f"line {lineno}: non-finite value {bad[0].partition(':')[2]!r}"
+                )
         dim = max(dim, idxs[-1])
         examples.append(
             TrainingExample(

@@ -4,19 +4,18 @@ sweeps with CSV output, and a single-pass perceptron baseline."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
 
 from .data import Dataset, TrainingExample, shuffled
-from .model import Model, ModelParams
+from .model import Model, ModelParams, map_test_point
 
 __all__ = [
     "CSV_HEADER",
     "ExperimentReport",
     "RunResult",
-    "SweepRow",
     "epsilon_sweep",
     "perceptron_stream",
     "run_experiment",
@@ -40,6 +39,12 @@ class RunResult:
 
 @dataclass(eq=False)
 class ExperimentReport:
+    """The runs of one ``ModelParams`` setting, their aggregates and CSV row.
+
+    ``as_csv`` takes epsilon and L from ``params``, runs from ``per_run``.
+    """
+
+    params: ModelParams
     per_run: list[RunResult]
     mean_accuracy: float
     accuracy_std: float
@@ -48,17 +53,35 @@ class ExperimentReport:
     mean_core_points: float
 
     @classmethod
-    def from_runs(cls, runs: Sequence[RunResult]) -> "ExperimentReport":
+    def from_runs(
+        cls, params: ModelParams, runs: Sequence[RunResult]
+    ) -> "ExperimentReport":
         # Sort by seed so aggregation is independent of completion order.
         ordered = sorted(runs, key=lambda r: r.seed)
         acc = np.array([r.accuracy for r in ordered])
         return cls(
+            params=params,
             per_run=list(ordered),
             mean_accuracy=float(acc.mean()),
             accuracy_std=float(acc.std()),
             mean_time=float(np.mean([r.train_seconds for r in ordered])),
             mean_balls=float(np.mean([r.ball_count for r in ordered])),
             mean_core_points=float(np.mean([r.core_point_total for r in ordered])),
+        )
+
+    def as_csv(self) -> str:
+        """One line in ``CSV_HEADER`` order; floats in round-trip ``repr``."""
+        return ",".join(
+            [
+                repr(float(self.params.epsilon)),
+                str(self.params.lookahead),
+                str(len(self.per_run)),
+                repr(float(self.mean_accuracy)),
+                repr(float(self.accuracy_std)),
+                repr(float(self.mean_time)),
+                repr(float(self.mean_balls)),
+                repr(float(self.mean_core_points)),
+            ]
         )
 
 
@@ -102,33 +125,7 @@ def run_experiment(
                 core_point_total=sum(len(cs.members) for cs in model.cover.cores),
             )
         )
-    return ExperimentReport.from_runs(results)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    epsilon: float
-    lookahead: int
-    runs: int
-    mean_accuracy: float
-    std_accuracy: float
-    mean_train_seconds: float
-    mean_balls: float
-    mean_core_points: float
-
-    def as_csv(self) -> str:
-        return ",".join(
-            [
-                repr(float(self.epsilon)),
-                str(self.lookahead),
-                str(self.runs),
-                repr(float(self.mean_accuracy)),
-                repr(float(self.std_accuracy)),
-                repr(float(self.mean_train_seconds)),
-                repr(float(self.mean_balls)),
-                repr(float(self.mean_core_points)),
-            ]
-        )
+    return ExperimentReport.from_runs(params, results)
 
 
 def epsilon_sweep(
@@ -139,52 +136,29 @@ def epsilon_sweep(
     runs: int,
     lookaheads: Sequence[int] = (0, 10),
     base_seed: int = 0,
-) -> list[SweepRow]:
-    """One ``run_experiment`` per (epsilon, lookahead) pair.
+) -> list[ExperimentReport]:
+    """One ``run_experiment`` report per (epsilon, lookahead) pair.
 
-    Rows come back sorted by epsilon ascending, then lookahead.  ``delta``
-    is re-derived as epsilon/2 for each setting.
+    Reports come back sorted by epsilon ascending, then lookahead, each
+    with the ``ModelParams`` it ran with: ``params`` with that epsilon and
+    lookahead, and ``delta`` re-derived as epsilon/2.
     """
     if not epsilons:
         raise ValueError("epsilons must be nonempty")
     if len(set(epsilons)) != len(epsilons):
         raise ValueError("duplicate epsilon values")
-    rows = []
+    reports = []
     for eps in sorted(epsilons):
         for L in sorted(lookaheads):
-            run_params = ModelParams(
-                dim=params.dim, epsilon=eps, C=params.C, lookahead=L
-            )
-            report = run_experiment(train, test, run_params, runs, base_seed)
-            rows.append(
-                SweepRow(
-                    epsilon=eps,
-                    lookahead=L,
-                    runs=runs,
-                    mean_accuracy=report.mean_accuracy,
-                    std_accuracy=report.accuracy_std,
-                    mean_train_seconds=report.mean_time,
-                    mean_balls=report.mean_balls,
-                    mean_core_points=report.mean_core_points,
-                )
-            )
-    return rows
+            run_params = replace(params, epsilon=eps, lookahead=L, delta=None)
+            reports.append(run_experiment(train, test, run_params, runs, base_seed))
+    return reports
 
 
-def write_csv(rows: Sequence[SweepRow], stream: IO[str]) -> None:
+def write_csv(reports: Sequence[ExperimentReport], stream: IO[str]) -> None:
     stream.write(CSV_HEADER + "\n")
-    for row in rows:
-        stream.write(row.as_csv() + "\n")
-
-
-def _unit_bias(x, dim: int) -> np.ndarray:
-    out = np.zeros(dim + 1)
-    dense = x.to_dense(dim)
-    norm = np.linalg.norm(dense)
-    if norm > 0.0:
-        out[:-1] = dense / norm
-    out[-1] = 1.0
-    return out
+    for report in reports:
+        stream.write(report.as_csv() + "\n")
 
 
 def perceptron_stream(
@@ -192,9 +166,11 @@ def perceptron_stream(
 ) -> float:
     """Single-pass mistake-driven perceptron baseline; returns test accuracy.
 
-    Inputs are unit-normalized with a constant-1 bias coordinate appended.
-    A prediction of exactly zero counts as a mistake during training and is
-    reported as +1 at test time.
+    Rows are mapped by ``map_test_point`` to ``[x_hat ; 1]``; a row it
+    rejects (NaN, infinite or zero) raises ``ValueError`` naming it, as
+    ``training example N: ...`` or ``test example N: ...``.  A prediction
+    of exactly zero counts as a mistake during training and is reported as
+    +1 at test time.
     """
     if not test.examples:
         raise ValueError("perceptron_stream requires a nonempty test set")
@@ -203,15 +179,21 @@ def perceptron_stream(
         for ex in train:
             if ex.x.indices.size:
                 dim = max(dim, int(ex.x.indices[-1]))
+    params = ModelParams(dim=dim)
+
+    def mapped(what: str, position: int, x) -> np.ndarray:
+        try:
+            return map_test_point(x, params).explicit
+        except ValueError as err:
+            raise ValueError(f"{what} example {position}: {err}") from err
+
     w = np.zeros(dim + 1)
-    for ex in train:
-        xt = _unit_bias(ex.x, dim)
+    for position, ex in enumerate(train):
+        xt = mapped("training", position, ex.x)
         if ex.y * float(w @ xt) <= 0.0:
             w += ex.y * xt
     correct = 0
-    for ex in test.examples:
-        value = float(w @ _unit_bias(ex.x, dim))
-        pred = 1 if value > 0.0 else (-1 if value < 0.0 else 1)
-        if pred == ex.y:
-            correct += 1
+    for position, ex in enumerate(test.examples):
+        value = float(w @ mapped("test", position, ex.x))
+        correct += (-1 if value < 0.0 else 1) == ex.y
     return correct / len(test.examples)

@@ -156,18 +156,12 @@ class Model:
         dots = P @ centers.T  # (queries, balls)
 
         r2 = radii * radii
-        base = pn2[:, None] + (cen2 + center_slack2)[None, :]
+        base = pn2[:, None] + norms2[None, :]
         in_pos = base - 2.0 * dots <= r2[None, :]
         in_neg = base + 2.0 * dots <= r2[None, :]
 
-        bad = norms2 == 0.0
-        if bad.any():
-            if (in_pos[:, bad] | in_neg[:, bad]).any():
-                raise ValueError("supporting ball has zero-norm center")
-            signed = dots / np.sqrt(np.where(bad, 1.0, norms2))[None, :]
-            signed[:, bad] = 0.0  # no separator: excluded from tie fallback too
-        else:
-            signed = dots / np.sqrt(norms2)[None, :]
+        # A zero center has no separator: it adds 0 to both sums and the tie.
+        signed = dots / np.sqrt(np.where(norms2 > 0.0, norms2, np.inf))[None, :]
 
         # S(p) - S(-p) = sum over Sup(p) of p.c_hat + sum over Sup(-p) of p.c_hat
         margin = (in_pos * signed).sum(axis=1) + (in_neg * signed).sum(axis=1)

@@ -74,14 +74,13 @@ def score(cover: BlurredBallCover, p: AugPoint) -> float:
     """Sum of ``p``'s signed distances to the separators of its support.
 
     Each supporting ball contributes ``p . c / |c|``; a supporting ball with
-    a zero-norm center has no separator and raises.
+    a zero-norm center has no separator and contributes nothing.
     """
     total = 0.0
     for ball in support(cover, p):
         norm2 = ball.center.norm2()
-        if norm2 == 0.0:
-            raise ValueError("supporting ball has zero-norm center")
-        total += center_dot(ball.center, p) / math.sqrt(norm2)
+        if norm2 > 0.0:
+            total += center_dot(ball.center, p) / math.sqrt(norm2)
     return total
 
 

@@ -300,9 +300,9 @@ def test_criterion_7_time_vs_epsilon_monotonicity():
         rows = epsilon_sweep(
             train, test, params, [1e-1, 1e-2, 1e-3], runs=10, lookaheads=(10,)
         )
-        times = [row.mean_train_seconds for row in rows]  # epsilon ascending
+        times = [row.mean_time for row in rows]  # epsilon ascending
         print(
             "  mean seconds by epsilon: "
-            + ", ".join(f"{row.epsilon:g}: {row.mean_train_seconds:.4f}" for row in rows)
+            + ", ".join(f"{row.params.epsilon:g}: {row.mean_time:.4f}" for row in rows)
         )
         assert times[0] >= times[1] >= times[2], f"not monotone: {times}"

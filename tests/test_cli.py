@@ -3,6 +3,7 @@ import pytest
 
 from bbsvm.cli import run_cli
 from bbsvm.data import load_libsvm
+from bbsvm.experiments import CSV_HEADER
 from bbsvm.model_file import ModelFormatError, load_model, save_model
 
 
@@ -140,6 +141,27 @@ def test_sweep_writes_rows_per_combination(tmp_path, dataset_file):
     assert len(lines) == 5  # header + 2 epsilons x 2 lookaheads
     eps_col = [line.split(",")[0] for line in lines[1:]]
     assert eps_col == ["0.01", "0.01", "0.1", "0.1"]
+
+
+def test_eval_row_matches_its_sweep_cell(tmp_path, dataset_file):
+    # Same (epsilon, L, runs, seed): the same CSV row apart from the timing.
+    data = str(dataset_file)
+    common = ["--train", data, "--test", data, "--runs", "3", "--seed", "4"]
+    ev, sweep = tmp_path / "eval.csv", tmp_path / "sweep.csv"
+    assert run_cli(["eval", *common, "--epsilon", "0.05", "--L", "3",
+                    "--out", str(ev)]) == 0
+    assert run_cli(["sweep", *common, "--epsilons", "0.2,0.05",
+                    "--lookaheads", "0,3", "--out", str(sweep)]) == 0
+    header, row = ev.read_text().splitlines()
+    sweep_lines = sweep.read_text().splitlines()
+    assert header == sweep_lines[0] == CSV_HEADER
+    cells = {tuple(line.split(",")[:2]): line for line in sweep_lines[1:]}
+    timing = CSV_HEADER.split(",").index("mean_train_seconds")
+
+    def without_timing(line):
+        return line.split(",")[:timing] + line.split(",")[timing + 1:]
+
+    assert without_timing(row) == without_timing(cells["0.05", "3"])
 
 
 def test_sweep_duplicate_epsilon_exits_2(tmp_path, dataset_file):

@@ -53,6 +53,17 @@ def test_parse_errors_carry_line_numbers():
         parse_libsvm("3 1:1\n")
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+def test_parse_rejects_non_finite_values_with_line_number(text):
+    with pytest.raises(DataFormatError, match=f"line 3: non-finite value '{text}'"):
+        parse_libsvm(f"+1 1:1\n-1 1:0.5 2:1\n+1 1:0.25 2:{text} 3:1\n")
+
+
+def test_parse_accepts_finite_values_whose_sum_overflows():
+    ds = parse_libsvm("+1 1:1e308 2:1e308 3:-1e308\n")
+    assert ds.examples[0].x.values.tolist() == [1e308, 1e308, -1e308]
+
+
 def test_parse_comments_and_blank_lines():
     text = "# header comment\n\n+1 1:1.5  # trailing comment\n"
     ds = parse_libsvm(text)

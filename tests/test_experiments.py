@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -48,7 +49,9 @@ def test_report_aggregation_identity():
             (1, 0.75, 0.2, 2, 20),
         ]
     ]
-    report = ExperimentReport.from_runs(runs)
+    params = ModelParams(dim=2)
+    report = ExperimentReport.from_runs(params, runs)
+    assert report.params is params
     assert [r.seed for r in report.per_run] == [0, 1, 2]
     assert report.mean_accuracy == 0.75
     assert report.accuracy_std == pytest.approx(np.std([0.5, 1.0, 0.75]))
@@ -102,13 +105,13 @@ def test_sweep_rows_sorted_and_complete():
     train, test = split(150, 50, 4, 0.2, seed=10)
     params = ModelParams(dim=4)
     rows = epsilon_sweep(train, test, params, [0.1, 0.02], runs=1, lookaheads=(10, 0))
-    assert [(r.epsilon, r.lookahead) for r in rows] == [
+    assert [(r.params.epsilon, r.params.lookahead) for r in rows] == [
         (0.02, 0),
         (0.02, 10),
         (0.1, 0),
         (0.1, 10),
     ]
-    assert all(r.runs == 1 for r in rows)
+    assert all(len(r.per_run) == 1 for r in rows)
 
 
 def test_sweep_rejects_duplicates_and_empty():
@@ -167,3 +170,27 @@ def test_perceptron_learns_separable_data():
     train, test = split(2000, 500, 10, 0.3, seed=14)
     acc = perceptron_stream(train.examples, test)
     assert acc >= 0.9
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_perceptron_bad_rows_raise_with_their_position(bad):
+    good = TrainingExample(sv(1.0, 0.5), 1)
+    row = TrainingExample(sv(bad, 0.0), -1)
+    test = Dataset([good], 2)
+    with pytest.raises(ValueError, match="training example 2: input vector"):
+        perceptron_stream([good, good, row], test)
+    with pytest.raises(ValueError, match="test example 1: input vector"):
+        perceptron_stream([good], Dataset([good, row], 2))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_perceptron_huge_rows_train_like_their_unit_twins():
+    # Squaring 1e200 overflows.  A map that fell back to the bias-only point
+    # [0, 0, 1] would end at w = [1, 0, 0] and score this probe set at 0.5.
+    first = TrainingExample(sv(1.0, 0.0), 1)
+    probe = Dataset(
+        [TrainingExample(sv(0.0, 1.0), -1), TrainingExample(sv(0.0, -1.0), 1)], 2
+    )
+    unit = perceptron_stream([first, TrainingExample(sv(0.0, 1.0), -1)], probe)
+    huge = perceptron_stream([first, TrainingExample(sv(0.0, 1e200), -1)], probe)
+    assert huge == unit == 1.0

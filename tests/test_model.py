@@ -17,6 +17,7 @@ from bbsvm.data import (
 )
 from bbsvm.meb import AugPoint, Ball, Center, CoreSet
 from bbsvm.model import Model, ModelParams, feature_map, map_test_point
+from bbsvm.model_file import load_model, save_model
 from oracle import center_dot, score, support
 
 
@@ -76,13 +77,16 @@ def test_feature_map_rejects_non_finite_values(bad):
 
 
 def test_non_finite_input_never_reaches_a_ball():
-    ds = parse_libsvm(["+1 1:0.5 2:1", "+1 1:nan 2:1"])
+    examples = [
+        TrainingExample(sv(0.5, 1.0), 1),
+        TrainingExample(sv(math.nan, 1.0), 1),
+    ]
     model = Model(ModelParams(dim=2, lookahead=0))
     with pytest.raises(ValueError, match="training example 1"):
-        model.train_stream(ds.examples)
-    model = Model(ModelParams(dim=2)).train_stream(ds.examples[:1])
+        model.train_stream(examples)
+    model = Model(ModelParams(dim=2)).train_stream(examples[:1])
     with pytest.raises(ValueError, match="finite"):
-        model.predict([ds.examples[0].x, ds.examples[1].x])
+        model.predict([examples[0].x, examples[1].x])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -231,10 +235,29 @@ def test_score_sums_over_supporting_balls():
     assert math.isclose(score(cover, p), expected, rel_tol=1e-12)
 
 
-def test_score_zero_norm_center_raises():
+def test_score_zero_norm_center_contributes_nothing():
     cover = one_ball_cover([0.0, 0.0], 1.0)
-    with pytest.raises(ValueError, match="zero-norm"):
-        score(cover, raw([0.5, 0.0], 0))
+    p = raw([0.5, 0.0], 0)
+    assert len(support(cover, p)) == 1
+    assert score(cover, p) == 0.0
+
+
+@pytest.mark.parametrize("tail", [0, 2000])
+def test_hard_margin_contradicting_pair_predicts_by_tie_rule(tmp_path, tail):
+    # (x, +1) and (x, -1) at C = inf leave a ball with an exactly zero center
+    # and radius sqrt(2).  It contains every query but has no separator, so
+    # every label comes from the tie rule (+1), as for the same pair at C = 1.
+    ds = generate_synthetic(tail + 200, 5, 0.2, 0.0, seed=3)
+    x = ds.examples[0].x
+    stream = [TrainingExample(x, 1), TrainingExample(x, -1)] + ds.examples[:tail]
+    queries = [ex.x for ex in ds.examples[tail:]]
+    model = Model(ModelParams(dim=5)).train_stream(stream)
+    assert [cs.ball.center.norm2() for cs in model.cover.cores] == [0.0]
+    assert model.cover.cores[0].ball.radius == math.sqrt(2.0)
+    save_model(model, tmp_path / "m.bbsvm")
+    soft = Model(ModelParams(dim=5, C=1.0)).train_stream(stream[:2])
+    for m in (model, load_model(tmp_path / "m.bbsvm"), soft):
+        assert np.array_equal(m.predict(queries), np.ones(len(queries), dtype=int))
 
 
 # -------------------------------------------------------------------- classify
