@@ -6,6 +6,14 @@ the (1+eps)-expansions of the retained balls.  If any buffered point escapes
 them all, a new ball is computed as the approximate minimum enclosing ball
 of the buffer together with every retained core point, and older balls with
 radius below eps/4 of the new radius are discarded.
+
+The escape test tries the newest ball first.  It encloses the last merge's
+buffer and every core point retained then, so it holds most points that do
+not escape, and only a point outside it is measured against all balls.  The
+order changes no decision: a point is inside when it lies in any expanded
+ball, the newest ball's distance is computed by the same expression (same
+bits) as its row of the all-balls test, and no merge discards the ball it
+makes.  The buffer test stops at its first escaping point.
 """
 
 from __future__ import annotations
@@ -53,9 +61,22 @@ class BlurredBallCover:
         """True iff ``p`` lies outside every (1+eps)-expanded retained ball.
 
         Vacuously true on an empty cover; boundary points count as inside.
-        ``p`` must be fresh: no core member may carry its id (see ``offer``).
+        ``p`` must be fresh (see ``offer``): it then meets no center's slack
+        coefficients, so its squared distance is the explicit part plus both
+        slack norms.  The newest ball is tested first and the rest only when
+        ``p`` is outside it, which is exact (see the module docstring).
         """
-        return bool(self._escape_mask([p])[0])
+        if self._centers is None:
+            return True
+        sw2 = p.slack_weight * p.slack_weight
+        d = self._centers[-1] - p.explicit
+        if (d * d).sum() + self._newest_slack2 + sw2 <= self._newest_limit2:
+            return False
+        d = self._centers - p.explicit
+        d2 = (d * d).sum(axis=1)
+        d2 += self._center_slack2
+        d2 += sw2
+        return bool((d2 > self._limits2).all())
 
     def offer(self, buffer: Lookahead, p: AugPoint) -> bool:
         """Buffer ``p``; process the buffer when it reaches capacity.
@@ -80,7 +101,7 @@ class BlurredBallCover:
 
     def _process(self, buffer: Lookahead) -> bool:
         merged = False
-        if self._escape_mask(buffer.pending).any():
+        if any(map(self.escapes, buffer.pending)):
             self.merge_update(list(buffer.pending))
             merged = True
         buffer.pending.clear()
@@ -128,27 +149,11 @@ class BlurredBallCover:
         self._radii = np.array([cs.ball.radius for cs in self.cores])
         limits = (1.0 + self.epsilon) * self._radii
         self._limits2 = limits * limits
+        self._newest_slack2 = float(self._center_slack2[-1])
+        self._newest_limit2 = float(self._limits2[-1])
 
     def query_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """(centers, center slack norms squared, radii) or None when empty."""
         if self._centers is None:
             return None
         return self._centers, self._center_slack2, self._radii
-
-    def _escape_mask(self, pts: list[AugPoint]) -> np.ndarray:
-        """Per point: outside every (1+eps)-expanded retained ball.
-
-        A center's slack coefficients sit on the axes of its core members
-        only, so a point whose id no core member carries meets none of them
-        and its squared distance is the explicit part plus both slack norms.
-        For a core member itself this overstates the distance; callers pass
-        fresh points only.
-        """
-        if self._centers is None:
-            return np.ones(len(pts), dtype=bool)
-        P = np.stack([p.explicit for p in pts])
-        sw = np.array([p.slack_weight for p in pts])
-        d2 = ((P[:, None, :] - self._centers[None, :, :]) ** 2).sum(axis=2)
-        d2 += self._center_slack2[None, :]
-        d2 += (sw * sw)[:, None]
-        return (d2 > self._limits2[None, :]).all(axis=1)

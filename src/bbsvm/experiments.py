@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -162,9 +162,12 @@ def write_csv(reports: Sequence[ExperimentReport], stream: IO[str]) -> None:
 
 
 def perceptron_stream(
-    train: Sequence[TrainingExample], test: Dataset, dim: int | None = None
+    train: Iterable[TrainingExample], test: Dataset, dim: int | None = None
 ) -> float:
     """Single-pass mistake-driven perceptron baseline; returns test accuracy.
+
+    ``train`` is read once, so a one-pass iterator works; with ``dim=None``
+    it is held in a list to infer the dimension before training.
 
     Rows are mapped by ``map_test_point`` to ``[x_hat ; 1]``; a row it
     rejects (NaN, infinite or zero) raises ``ValueError`` naming it, as
@@ -175,6 +178,7 @@ def perceptron_stream(
     if not test.examples:
         raise ValueError("perceptron_stream requires a nonempty test set")
     if dim is None:
+        train = list(train)
         dim = test.dim
         for ex in train:
             if ex.x.indices.size:

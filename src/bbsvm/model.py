@@ -67,7 +67,8 @@ def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
     """The explicit block ``[sign * x_hat ; sign]`` of a mapped input.
 
     Raises ``ValueError`` unless ``x`` has a finite nonzero norm with a
-    finite reciprocal, so a NaN or infinite value can never reach a ball.
+    finite reciprocal, so a NaN or infinite value can never reach a ball,
+    and unless its indices lie in 1..dim (index dim+1 is the bias slot).
     """
     norm = x.norm()
     if not 0.0 < norm < math.inf or 1.0 / norm == math.inf:
@@ -75,8 +76,15 @@ def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
             f"input vector needs a finite nonzero norm with a finite "
             f"reciprocal, got {norm!r}"
         )
-    explicit = np.zeros(params.dim + 1)
-    explicit[:-1] = x.to_dense(params.dim) * (sign * (1.0 / norm))
+    dim = params.dim
+    if x.indices.size and x.indices[-1] > dim:
+        raise ValueError(f"feature index {x.indices[-1]} exceeds dimension {dim}")
+    if x.indices.size and x.indices[0] < 1:
+        raise ValueError(f"feature index {x.indices[0]} is below 1")
+    # In place: the bits of ``x.to_dense(dim) * factor``, -0.0 zeros included.
+    explicit = np.zeros(dim + 1)
+    explicit[x.indices - 1] = x.values
+    explicit[:-1] *= sign * (1.0 / norm)
     explicit[-1] = float(sign)
     return explicit
 

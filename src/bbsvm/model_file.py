@@ -2,11 +2,14 @@
 
 Format (UTF-8, one record per line, floats in shortest round-trip decimal):
 
-    BBSVM 1
+    BBSVM 2
     kappa <f>
     epsilon <f>
+    delta <f>
     C <f|inf>
     dim <int>
+    lookahead <int>
+    points_seen <int>
     balls <k>
     --- then per ball ---
     ball <radius>
@@ -17,7 +20,9 @@ Format (UTF-8, one record per line, floats in shortest round-trip decimal):
     <id> <label> <d+1 floats> <slack_weight>   (s lines)
 
 Saving and loading round-trips every float exactly, so a reloaded model
-predicts identically to the original.
+predicts identically to the original and keeps its training state (not the
+buffer, which ``train_stream`` leaves empty).  Version 1 files lack the
+delta, lookahead and points_seen records and load with epsilon/2, 10 and 0.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .model import Model, ModelParams
 __all__ = ["ModelFormatError", "load_model", "save_model"]
 
 MAGIC = "BBSVM"
-VERSION = 1
+VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -50,8 +55,11 @@ def save_model(model: Model, path) -> None:
         f"{MAGIC} {VERSION}",
         f"kappa {_f(params.kappa)}",
         f"epsilon {_f(params.epsilon)}",
+        f"delta {_f(params.delta)}",
         f"C {'inf' if math.isinf(params.C) else _f(params.C)}",
         f"dim {params.dim}",
+        f"lookahead {params.lookahead}",
+        f"points_seen {model.cover.points_seen}",
         f"balls {len(model.cover.cores)}",
     ]
     for cs in model.cover.cores:
@@ -105,17 +113,21 @@ def load_model(path) -> Model:
     header = reader.next().split()
     if len(header) != 2 or header[0] != MAGIC:
         raise ModelFormatError("not a BBSVM model file")
-    if header[1] != str(VERSION):
+    if header[1] not in ("1", str(VERSION)):
         raise ModelFormatError(f"unsupported model format version {header[1]!r}")
+    v2 = header[1] == "2"
 
     kappa = _float(reader.tagged("kappa")[0], "kappa")
     epsilon = _float(reader.tagged("epsilon")[0], "epsilon")
+    delta = _float(reader.tagged("delta")[0], "delta") if v2 else None
     c_text = reader.tagged("C")[0]
     C = math.inf if c_text == "inf" else _float(c_text, "C")
     dim = int(reader.tagged("dim")[0])
+    lookahead = int(reader.tagged("lookahead")[0]) if v2 else ModelParams.lookahead
+    points_seen = int(reader.tagged("points_seen")[0]) if v2 else 0
     ball_count = int(reader.tagged("balls")[0])
 
-    params = ModelParams(dim=dim, epsilon=epsilon, C=C)
+    params = ModelParams(dim, epsilon, C, lookahead, delta)
     if abs(kappa - params.kappa) > 1e-9 * params.kappa:
         raise ModelFormatError("kappa is inconsistent with C")
 
@@ -155,6 +167,7 @@ def load_model(path) -> Model:
 
     cover = BlurredBallCover(epsilon, params.delta)
     cover.cores = cores
+    cover.points_seen = points_seen
     cover._refresh_cache()
     model = Model(params)
     model.cover = cover

@@ -1,11 +1,13 @@
 """Scalar reference geometry that the tests compare the library against.
 
 The library computes distances, escape tests and scores in vectorized form
-only (``BlurredBallCover._escape_mask``, ``Model.predict``).  This module
-keeps the plain one-point, one-ball versions of the same formulas, written
-from the definitions of the augmented space, an exact minimum enclosing
-ball for dimension <= 3 to measure ``approx_meb`` against, and the
-rescaling Badoiu-Clarkson loop that ``approx_meb`` must walk step for step.
+only (``BlurredBallCover.escapes``, ``Model.predict``).  This module keeps
+the plain one-point, one-ball versions of the same formulas, written from
+the definitions of the augmented space, the all-points-by-all-balls escape
+test whose decisions ``escapes`` must repeat bit for bit, an exact minimum
+enclosing ball for dimension <= 3 to measure ``approx_meb`` against, and
+the rescaling Badoiu-Clarkson loop that ``approx_meb`` must walk step for
+step.
 """
 
 from __future__ import annotations
@@ -82,6 +84,31 @@ def score(cover: BlurredBallCover, p: AugPoint) -> float:
         if norm2 > 0.0:
             total += center_dot(ball.center, p) / math.sqrt(norm2)
     return total
+
+
+def escape_distances(
+    cover: BlurredBallCover, pts: Sequence[AugPoint]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances (points, balls) of fresh points to every retained
+    center, and the squared (1+eps)-expanded radii, as one 3-D broadcast.
+
+    This is the cover's former vectorized escape test: the slack cross term
+    is dropped, which is exact for ids that no core member carries.
+    """
+    centers, center_slack2, radii = cover.query_arrays()
+    limits = (1.0 + cover.epsilon) * radii
+    P = np.stack([p.explicit for p in pts])
+    sw = np.array([p.slack_weight for p in pts])
+    d2 = ((P[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 += center_slack2[None, :]
+    d2 += (sw * sw)[:, None]
+    return d2, limits * limits
+
+
+def escape_mask(cover: BlurredBallCover, pts: Sequence[AugPoint]) -> np.ndarray:
+    """Per point: outside every (1+eps)-expanded retained ball."""
+    d2, limits2 = escape_distances(cover, pts)
+    return (d2 > limits2[None, :]).all(axis=1)
 
 
 _combo_cache: dict[tuple[int, int], np.ndarray] = {}

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bbsvm.cli import run_cli
-from bbsvm.data import load_libsvm
+from bbsvm.data import generate_synthetic, load_libsvm
 from bbsvm.experiments import CSV_HEADER
+from bbsvm.model import Model, ModelParams
 from bbsvm.model_file import ModelFormatError, load_model, save_model
 
 
@@ -95,8 +96,8 @@ def test_model_round_trip_predictions_exact(tmp_path, dataset_file, model_file):
 
 def test_model_file_rejects_other_versions(tmp_path, model_file):
     text = model_file.read_text().splitlines()
-    text[0] = "BBSVM 2"
-    bad = tmp_path / "v2.bbsvm"
+    text[0] = "BBSVM 3"
+    bad = tmp_path / "v3.bbsvm"
     bad.write_text("\n".join(text) + "\n")
     with pytest.raises(ModelFormatError, match="version"):
         load_model(bad)
@@ -106,6 +107,35 @@ def test_model_file_rejects_other_versions(tmp_path, model_file):
     not_model.write_text("hello world\n")
     with pytest.raises(ModelFormatError, match="not a BBSVM"):
         load_model(not_model)
+
+
+def test_model_file_keeps_training_state(tmp_path):
+    ds = generate_synthetic(500, 5, 0.1, 0.0, seed=7)
+    delta = 0.001 / 3.0  # round-trips only with every digit of its repr
+    params = ModelParams(dim=5, epsilon=0.01, C=10.0, lookahead=3, delta=delta)
+    model = Model(params).train_stream(ds.examples)
+    save_model(model, tmp_path / "m.bbsvm")
+    loaded = load_model(tmp_path / "m.bbsvm")
+    assert loaded.params.delta == delta and loaded.cover.delta == delta
+    assert loaded.params.lookahead == 3 and loaded.buffer.capacity == 3
+    assert loaded.cover.points_seen == 500
+    assert loaded.params == model.params
+
+
+def test_model_file_version_1_loads_with_defaults(tmp_path, dataset_file, model_file):
+    lines = model_file.read_text().splitlines()
+    assert lines[0] == "BBSVM 2"
+    lines = ["BBSVM 1"] + [
+        line for line in lines[1:]
+        if line.split()[0] not in ("delta", "lookahead", "points_seen")
+    ]
+    v1 = tmp_path / "v1.bbsvm"
+    v1.write_text("\n".join(lines) + "\n")
+    model, old = load_model(model_file), load_model(v1)
+    assert old.params.delta == old.params.epsilon / 2.0
+    assert old.params.lookahead == 10 and old.cover.points_seen == 0
+    xs = [ex.x for ex in load_libsvm(dataset_file).examples]
+    assert np.array_equal(old.predict(xs), model.predict(xs))
 
 
 def test_model_file_detects_truncation(tmp_path, model_file):

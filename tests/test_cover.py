@@ -9,7 +9,7 @@ from bbsvm.cover import BlurredBallCover, Lookahead
 from bbsvm.data import generate_synthetic
 from bbsvm.meb import AugPoint, Ball, Center, CoreSet, approx_meb
 from bbsvm.model import Model, ModelParams, feature_map
-from oracle import distance2, expansion_contains
+from oracle import distance2, escape_distances, escape_mask, expansion_contains
 
 
 def raw(vec, pid):
@@ -98,6 +98,69 @@ def test_escapes_matches_exact_distances_on_trained_covers(
         if any(abs(d2 - lim2) <= 1e-9 * lim2 for d2, lim2 in pairs):
             continue  # on a boundary the two summation orders may disagree
         assert cover.escapes(p) == all(d2 > lim2 for d2, lim2 in pairs)
+
+
+def _trained(C, lookahead):
+    """A cover trained on 200 points (d=5, eps=1e-3) and 300 fresh examples."""
+    ds = generate_synthetic(500, 5, 0.0, 0.0, seed=11)
+    model = Model(ModelParams(dim=5, epsilon=0.001, C=C, lookahead=lookahead))
+    model.train_stream(ds.examples[:200])
+    return model, ds.examples[200:]
+
+
+@pytest.mark.parametrize("C", [math.inf, 10.0])
+@pytest.mark.parametrize("lookahead", [0, 3, 10])
+def test_escapes_repeats_the_all_balls_reference(C, lookahead):
+    # The newest-ball-first test must decide every fresh point as the
+    # all-points-by-all-balls broadcast does, including the points outside
+    # the newest ball that only the fallback over all balls can decide.
+    model, fresh = _trained(C, lookahead)
+    cover = model.cover
+    pts = [
+        feature_map(ex.x, ex.y if k % 2 else -ex.y, model.params, model.next_id + k)
+        for k, ex in enumerate(fresh)
+    ]
+    got = np.array([cover.escapes(p) for p in pts])
+    assert np.array_equal(got, escape_mask(cover, pts))
+    d2, limits2 = escape_distances(cover, pts)
+    assert (~got & (d2[:, -1] > limits2[-1])).any()  # the fallback ran
+    assert got.any()
+
+
+def _on_older_boundaries(cover, slack_weight, first_id, tries=100):
+    """Fresh points whose reference squared distance to an older ball equals
+    its (1+eps)-expanded radius squared exactly, outside the newest ball."""
+    rng = np.random.default_rng(5)
+    centers, center_slack2, radii = cover.query_arrays()
+    limits2 = ((1.0 + cover.epsilon) * radii) ** 2
+    found = []
+    for _ in range(tries):
+        i = int(rng.integers(len(radii) - 1))
+        u = centers[i] - centers[-1]  # away from the newest center
+        u = u / np.linalg.norm(u)
+        u += rng.standard_normal(u.size) / (2.0 * math.sqrt(u.size))
+        u /= np.linalg.norm(u)
+        t = math.sqrt(limits2[i] - center_slack2[i] - slack_weight**2)
+        for _ in range(64):  # walk t by ulps onto the boundary
+            p = AugPoint(centers[i] + t * u, slack_weight, first_id + len(found))
+            (d2,), _ = escape_distances(cover, [p])
+            if d2[i] == limits2[i]:
+                if d2[-1] > limits2[-1]:
+                    found.append(p)
+                break
+            t = math.nextafter(t, 0.0 if d2[i] > limits2[i] else math.inf)
+    return found
+
+
+@pytest.mark.parametrize("C", [math.inf, 10.0])
+@pytest.mark.parametrize("lookahead", [0, 3, 10])
+def test_points_on_an_older_expanded_boundary_count_as_inside(C, lookahead):
+    model, _ = _trained(C, lookahead)
+    cover = model.cover
+    pts = _on_older_boundaries(cover, model.params.slack_weight, model.next_id)
+    assert len(pts) >= 20
+    assert not escape_mask(cover, pts).any()
+    assert not any(cover.escapes(p) for p in pts)
 
 
 # ----------------------------------------------------------------------- offer

@@ -194,3 +194,25 @@ def test_perceptron_huge_rows_train_like_their_unit_twins():
     unit = perceptron_stream([first, TrainingExample(sv(0.0, 1.0), -1)], probe)
     huge = perceptron_stream([first, TrainingExample(sv(0.0, 1e200), -1)], probe)
     assert huge == unit == 1.0
+
+
+class CountingStream:
+    """Iterable over ``items`` that counts its passes."""
+
+    def __init__(self, items):
+        self.items = items
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.items)
+
+
+def test_perceptron_reads_a_one_pass_stream_once():
+    train, test = split(500, 200, 5, 0.1, seed=3)
+    expected = perceptron_stream(train.examples, test)
+    assert expected == 1.0
+    assert perceptron_stream(iter(train.examples), test) == expected
+    stream = CountingStream(train.examples)
+    assert perceptron_stream(stream, test) == expected
+    assert stream.passes == 1

@@ -66,6 +66,41 @@ def test_feature_map_errors():
         feature_map(sv(1.0, 0.0), 2, params, 0)
 
 
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([1, 3], "feature index 3 exceeds dimension 2"),
+        ([0, 1], "feature index 0 is below 1"),
+    ],
+)
+def test_feature_map_rejects_indices_outside_one_to_dim(indices, message):
+    # Both would land in the bias slot of the mapped block (index 0 as
+    # slot -1), which the label then overwrites.
+    params = ModelParams(dim=2)
+    ok = TrainingExample(sv(1.0, 0.5), 1)
+    x = SparseVector(np.array(indices), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=f"training example 1: {message}"):
+        Model(params).train_stream([ok, TrainingExample(x, 1)])
+    model = Model(params).train_stream([ok])
+    with pytest.raises(ValueError, match=f"query 1: {message}"):
+        model.predict([ok.x, x])
+
+
+def test_feature_map_negative_label_matches_dense_formula_bit_for_bit():
+    # The block is filled in place; it must equal the dense product
+    # to_dense(dim) * (y * (1/norm)), including the -0.0 of its zeros.
+    rng = np.random.default_rng(4)
+    for dim in (5, 40, 300):
+        idx = np.sort(rng.choice(np.arange(1, dim + 1), size=dim // 5, replace=False))
+        x = SparseVector(idx, rng.standard_normal(idx.size))
+        for y in (-1, 1):
+            got = feature_map(x, y, ModelParams(dim=dim), 0).explicit
+            want = x.to_dense(dim) * (y * (1.0 / x.norm()))
+            assert got[:-1].tobytes() == want.tobytes()
+            assert got[-1] == y
+            assert np.signbit(got[:-1][want == 0.0]).all() == (y < 0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_feature_map_rejects_non_finite_values(bad):
     params = ModelParams(dim=2, C=1.0)
