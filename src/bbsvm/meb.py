@@ -102,9 +102,6 @@ def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]
     Returns the ball (radius = exact max distance from the final center to
     any input, so containment holds by construction) and the core set of
     points selected along the way, in selection order.
-
-    Slack bookkeeping runs only when some input has a nonzero slack weight;
-    with all slack weights zero it would add zeros and cost time.
     """
     m = len(points)
     if m == 0:
@@ -115,10 +112,9 @@ def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]
     E = np.stack([np.asarray(p.explicit, dtype=float) for p in points])
     sw = np.array([p.slack_weight for p in points], dtype=float)
     ids = np.array([p.id for p in points], dtype=np.int64)
-    has_slack = bool(np.any(sw != 0.0))
 
     en2 = np.einsum("ij,ij->i", E, E)
-    pn2 = en2 + sw * sw if has_slack else en2
+    pn2 = en2 + sw * sw
 
     cap = math.ceil(1.0 / (delta * delta))
     threshold = (1.0 + delta) ** 2
@@ -179,14 +175,9 @@ def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]
     ce = alpha @ E
     diff = E - ce
     d2 = np.einsum("ij,ij->i", diff, diff)
-    if has_slack:
-        cs = alpha * sw
-        d2 = d2 + float(cs @ cs) - cs * cs + (cs - sw) ** 2
-        coeffs = {
-            int(ids[k]): float(cs[k]) for k in np.flatnonzero(cs != 0.0)
-        }
-    else:
-        coeffs = {}
+    cs = alpha * sw
+    d2 = d2 + float(cs @ cs) - cs * cs + (cs - sw) ** 2
+    coeffs = {int(ids[k]): float(cs[k]) for k in np.flatnonzero(cs != 0.0)}
     radius = math.sqrt(max(float(d2.max()), 0.0))
     ball = Ball(Center(ce, coeffs), radius)
     core = CoreSet([points[int(order[k])] for k in selected], ball)

@@ -51,10 +51,8 @@ class ModelParams:
             self.delta = self.epsilon / 2.0
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
-
-    @property
-    def slack_weight(self) -> float:
-        return 0.0 if math.isinf(self.C) else 1.0 / math.sqrt(self.C)
+        # Not a field: derived from C, once, here and on dataclasses.replace.
+        self.slack_weight = 0.0 if math.isinf(self.C) else 1.0 / math.sqrt(self.C)
 
     @property
     def kappa(self) -> float:

@@ -2,7 +2,7 @@
 
 Format (UTF-8, one record per line, floats in shortest round-trip decimal):
 
-    BBSVM 2
+    BBSVM 3
     kappa <f>
     epsilon <f>
     delta <f>
@@ -17,17 +17,17 @@ Format (UTF-8, one record per line, floats in shortest round-trip decimal):
     slack <m>
     <id> <coefficient>          (m lines)
     core <s>
-    <id> <label> <d+1 floats> <slack_weight>   (s lines)
+    <id> <label> <d+1 floats> <slack_weight>   or   <id>   (s lines)
 
-Saving and loading round-trips every float exactly, so a reloaded model
-predicts identically to the original and keeps its training state (not the
-buffer, which ``train_stream`` leaves empty).  Version 1 files lack the
-delta, lookahead and points_seen records and load with epsilon/2, 10 and 0.
+A core point is written in full once, where it first appears, and as its
+bare id in later balls, which load it as the same shared point.  Every
+float round-trips exactly, so a reloaded model predicts identically and
+keeps its training state (not the buffer, which ``train_stream`` leaves
+empty).  Versions 1 and 2 write every member in full; version 1 lacks the
+delta, lookahead and points_seen records (loaded as epsilon/2, 10 and 0).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -38,11 +38,11 @@ from .model import Model, ModelParams
 __all__ = ["ModelFormatError", "load_model", "save_model"]
 
 MAGIC = "BBSVM"
-VERSION = 2
+VERSION = 3
 
 
 class ModelFormatError(ValueError):
-    """Model file is missing, truncated, or of an unsupported version."""
+    """Model file is missing, truncated, malformed, or of an unsupported version."""
 
 
 def _f(value: float) -> str:
@@ -56,12 +56,13 @@ def save_model(model: Model, path) -> None:
         f"kappa {_f(params.kappa)}",
         f"epsilon {_f(params.epsilon)}",
         f"delta {_f(params.delta)}",
-        f"C {'inf' if math.isinf(params.C) else _f(params.C)}",
+        f"C {_f(params.C)}",
         f"dim {params.dim}",
         f"lookahead {params.lookahead}",
         f"points_seen {model.cover.points_seen}",
         f"balls {len(model.cover.cores)}",
     ]
+    written: set[int] = set()
     for cs in model.cover.cores:
         ball = cs.ball
         lines.append(f"ball {_f(ball.radius)}")
@@ -71,6 +72,10 @@ def save_model(model: Model, path) -> None:
             lines.append(f"{pid} {_f(coeff)}")
         lines.append(f"core {len(cs.members)}")
         for p in cs.members:
+            if p.id in written:
+                lines.append(str(p.id))
+                continue
+            written.add(p.id)
             label = 0 if p.label is None else p.label
             lines.append(
                 f"{p.id} {label} "
@@ -87,83 +92,88 @@ class _Reader:
             self.lines = fh.read().splitlines()
         self.pos = 0
 
-    def next(self) -> str:
+    def error(self, message: str) -> ModelFormatError:
+        return ModelFormatError(f"line {self.pos}: {message}")
+
+    def next(self) -> list[str]:
         if self.pos >= len(self.lines):
             raise ModelFormatError("unexpected end of model file")
-        line = self.lines[self.pos]
         self.pos += 1
-        return line
+        return self.lines[self.pos - 1].split()
 
     def tagged(self, tag: str) -> list[str]:
-        parts = self.next().split()
+        parts = self.next()
         if not parts or parts[0] != tag:
-            raise ModelFormatError(f"expected '{tag}' record at line {self.pos}")
+            raise self.error(f"expected '{tag}' record")
         return parts[1:]
 
+    def number(self, text: str, what: str, kind=float):
+        """``kind(text)``; a malformed value names its record and line."""
+        try:
+            return kind(text)
+        except ValueError:
+            raise self.error(f"bad {what} {text!r}") from None
 
-def _float(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ModelFormatError(f"bad {what}: {text!r}") from None
+    def record(self, tag: str, kind=float):
+        """The value of the one-value record ``tag`` (no value or two are bad)."""
+        return self.number(" ".join(self.tagged(tag)), tag, kind)
 
 
 def load_model(path) -> Model:
     reader = _Reader(path)
-    header = reader.next().split()
+    header = reader.next()
     if len(header) != 2 or header[0] != MAGIC:
         raise ModelFormatError("not a BBSVM model file")
-    if header[1] not in ("1", str(VERSION)):
+    if header[1] not in ("1", "2", str(VERSION)):
         raise ModelFormatError(f"unsupported model format version {header[1]!r}")
-    v2 = header[1] == "2"
+    v1 = header[1] == "1"
 
-    kappa = _float(reader.tagged("kappa")[0], "kappa")
-    epsilon = _float(reader.tagged("epsilon")[0], "epsilon")
-    delta = _float(reader.tagged("delta")[0], "delta") if v2 else None
-    c_text = reader.tagged("C")[0]
-    C = math.inf if c_text == "inf" else _float(c_text, "C")
-    dim = int(reader.tagged("dim")[0])
-    lookahead = int(reader.tagged("lookahead")[0]) if v2 else ModelParams.lookahead
-    points_seen = int(reader.tagged("points_seen")[0]) if v2 else 0
-    ball_count = int(reader.tagged("balls")[0])
+    kappa = reader.record("kappa")
+    epsilon = reader.record("epsilon")
+    delta = None if v1 else reader.record("delta")
+    C = reader.record("C")
+    dim = reader.record("dim", int)
+    lookahead = ModelParams.lookahead if v1 else reader.record("lookahead", int)
+    points_seen = 0 if v1 else reader.record("points_seen", int)
+    ball_count = reader.record("balls", int)
 
     params = ModelParams(dim, epsilon, C, lookahead, delta)
     if abs(kappa - params.kappa) > 1e-9 * params.kappa:
         raise ModelFormatError("kappa is inconsistent with C")
 
     cores = []
-    max_id = -1
+    points: dict[int, AugPoint] = {}
     for _ in range(ball_count):
-        radius = _float(reader.tagged("ball")[0], "radius")
+        radius = reader.record("ball")
         explicit = np.array(
-            [_float(v, "center coordinate") for v in reader.tagged("center")]
+            [reader.number(v, "center coordinate") for v in reader.tagged("center")]
         )
         if explicit.size != dim + 1:
-            raise ModelFormatError("center has the wrong dimension")
+            raise reader.error("center has the wrong dimension")
         coeffs: dict[int, float] = {}
-        for _ in range(int(reader.tagged("slack")[0])):
-            pid_text, coeff_text = reader.next().split()
-            coeffs[int(pid_text)] = _float(coeff_text, "slack coefficient")
+        for _ in range(reader.record("slack", int)):
+            parts = reader.next()
+            if len(parts) != 2:
+                raise reader.error("slack coefficient needs an id and a value")
+            pid = reader.number(parts[0], "slack id", int)
+            coeffs[pid] = reader.number(parts[1], "slack coefficient")
         members = []
-        for _ in range(int(reader.tagged("core")[0])):
-            parts = reader.next().split()
-            if len(parts) != dim + 4:
-                raise ModelFormatError("core member has the wrong field count")
-            pid = int(parts[0])
-            label_value = int(parts[1])
-            vec = np.array([_float(v, "member coordinate") for v in parts[2:-1]])
-            slack_weight = _float(parts[-1], "member slack weight")
-            members.append(
-                AugPoint(
-                    vec,
-                    slack_weight,
-                    pid,
-                    label=None if label_value == 0 else label_value,
-                )
-            )
-            max_id = max(max_id, pid)
-        ball = Ball(Center(explicit, coeffs), radius)
-        cores.append(CoreSet(members, ball))
+        for _ in range(reader.record("core", int)):
+            parts = reader.next()
+            if len(parts) not in (1, dim + 4):
+                raise reader.error("core member has the wrong field count")
+            pid = reader.number(parts[0], "member id", int)
+            if len(parts) > 1:
+                label = reader.number(parts[1], "member label", int)
+                coords = [reader.number(v, "member coordinate") for v in parts[2:-1]]
+                weight = reader.number(parts[-1], "member slack weight")
+                points[pid] = AugPoint(np.array(coords), weight, pid, label or None)
+            elif pid not in points:
+                raise reader.error(f"member {pid} was not written earlier")
+            members.append(points[pid])
+        cores.append(CoreSet(members, Ball(Center(explicit, coeffs), radius)))
+    if reader.pos < len(reader.lines):
+        raise ModelFormatError(f"line {reader.pos + 1}: record after the last ball")
 
     cover = BlurredBallCover(epsilon, params.delta)
     cover.cores = cores
@@ -171,5 +181,5 @@ def load_model(path) -> Model:
     cover._refresh_cache()
     model = Model(params)
     model.cover = cover
-    model.next_id = max_id + 1
+    model.next_id = max(points, default=-1) + 1
     return model

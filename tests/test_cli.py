@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,8 @@ from bbsvm.data import generate_synthetic, load_libsvm
 from bbsvm.experiments import CSV_HEADER
 from bbsvm.model import Model, ModelParams
 from bbsvm.model_file import ModelFormatError, load_model, save_model
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture()
@@ -78,26 +83,69 @@ def test_data_errors_exit_2(tmp_path):
     ) == 2
 
 
-def test_model_round_trip_predictions_exact(tmp_path, dataset_file, model_file):
-    model = load_model(model_file)
+def assert_same_cover(model, reference):
+    """Radius, center bytes, slack items and member ids equal, ball by ball."""
+    assert len(model.cover.cores) == len(reference.cover.cores)
+    for cs, ref in zip(model.cover.cores, reference.cover.cores):
+        assert cs.ball.radius == ref.ball.radius
+        assert cs.ball.center.explicit.tobytes() == ref.ball.center.explicit.tobytes()
+        assert list(cs.ball.center.slack_coeffs.items()) == list(
+            ref.ball.center.slack_coeffs.items()
+        )
+        assert [p.id for p in cs.members] == [p.id for p in ref.members]
+    assert model.cover.points_seen == reference.cover.points_seen
+
+
+@pytest.mark.parametrize("C", [math.inf, 10.0])
+def test_model_round_trip_predictions_exact(tmp_path, dataset_file, C):
     ds = load_libsvm(dataset_file)
+    model = Model(ModelParams(dim=ds.dim, C=C)).train_stream(ds.examples)
+    path = tmp_path / "m.bbsvm"
+    save_model(model, path)
+    reloaded = load_model(path)
     xs = [ex.x for ex in ds.examples]
-    before = model.predict(xs)
-    copy_path = tmp_path / "copy.bbsvm"
-    save_model(model, copy_path)
-    reloaded = load_model(copy_path)
-    after = reloaded.predict(xs)
-    assert np.array_equal(before, after)
+    assert np.array_equal(model.predict(xs), reloaded.predict(xs))
+    assert reloaded.params == model.params
+    assert_same_cover(reloaded, model)
+
+    # One point per core id, shared by every ball that holds it, as after
+    # training; the file holds one full row per id.
+    members = [p for cs in reloaded.cover.cores for p in cs.members]
+    ids = {p.id for p in members}
+    assert len(members) > len(ids)  # some point sits in several balls
+    assert len({id(p) for p in members}) == len(ids)
+    lines = path.read_text().splitlines()
+    full_rows = [line.split()[0] for line in lines if len(line.split()) == ds.dim + 4]
+    assert sorted(map(int, full_rows)) == sorted(ids)
+
     # the save is byte-stable too
     again = tmp_path / "again.bbsvm"
     save_model(reloaded, again)
-    assert copy_path.read_text() == again.read_text()
+    assert path.read_text() == again.read_text()
+
+
+# Written by save_model at commit 7b384cf, the last BBSVM 2 writer, from
+# v2_train.txt with these parameters.
+V2_MODEL = FIXTURES / "v2_model.bbsvm"
+V2_PARAMS = ModelParams(dim=3, epsilon=0.02, C=10.0, lookahead=5)
+
+
+def test_model_file_version_2_fixture_loads_like_a_fresh_training():
+    assert V2_MODEL.read_text().startswith("BBSVM 2\n")
+    ds = load_libsvm(FIXTURES / "v2_train.txt")
+    old = load_model(V2_MODEL)
+    fresh = Model(V2_PARAMS).train_stream(ds.examples)
+    assert old.params == V2_PARAMS
+    assert any(cs.ball.center.slack_coeffs for cs in old.cover.cores)
+    assert_same_cover(old, fresh)
+    xs = [ex.x for ex in ds.examples]
+    assert np.array_equal(old.predict(xs), fresh.predict(xs))
 
 
 def test_model_file_rejects_other_versions(tmp_path, model_file):
     text = model_file.read_text().splitlines()
-    text[0] = "BBSVM 3"
-    bad = tmp_path / "v3.bbsvm"
+    text[0] = "BBSVM 4"
+    bad = tmp_path / "v4.bbsvm"
     bad.write_text("\n".join(text) + "\n")
     with pytest.raises(ModelFormatError, match="version"):
         load_model(bad)
@@ -122,20 +170,77 @@ def test_model_file_keeps_training_state(tmp_path):
     assert loaded.params == model.params
 
 
-def test_model_file_version_1_loads_with_defaults(tmp_path, dataset_file, model_file):
-    lines = model_file.read_text().splitlines()
-    assert lines[0] == "BBSVM 2"
+def test_model_file_version_1_loads_with_defaults(tmp_path):
+    lines = V2_MODEL.read_text().splitlines()
     lines = ["BBSVM 1"] + [
         line for line in lines[1:]
         if line.split()[0] not in ("delta", "lookahead", "points_seen")
     ]
     v1 = tmp_path / "v1.bbsvm"
     v1.write_text("\n".join(lines) + "\n")
-    model, old = load_model(model_file), load_model(v1)
+    model, old = load_model(V2_MODEL), load_model(v1)
     assert old.params.delta == old.params.epsilon / 2.0
     assert old.params.lookahead == 10 and old.cover.points_seen == 0
-    xs = [ex.x for ex in load_libsvm(dataset_file).examples]
+    assert old.params.C == model.params.C and old.next_id == model.next_id
+    xs = [ex.x for ex in load_libsvm(FIXTURES / "v2_train.txt").examples]
     assert np.array_equal(old.predict(xs), model.predict(xs))
+
+
+def _line_index(lines, where):
+    """Index of the first record ``where``, or of the first slack entry,
+    full member row or reference line."""
+    if where == "slack entry":
+        return 1 + next(
+            i for i, line in enumerate(lines)
+            if line.startswith("slack ") and line != "slack 0"
+        )
+    if where == "member":
+        return 1 + next(i for i, line in enumerate(lines) if line.startswith("core "))
+    if where == "reference":
+        return next(i for i, line in enumerate(lines) if len(line.split()) == 1)
+    return next(i for i, line in enumerate(lines) if line.split()[0] == where)
+
+
+@pytest.mark.parametrize(
+    "where, edit, message",
+    [
+        ("kappa", "kappa x", "bad kappa 'x'"),
+        ("C", "C ten", "bad C 'ten'"),
+        ("dim", "dim", "bad dim ''"),
+        ("lookahead", "lookahead ten", "bad lookahead 'ten'"),
+        ("points_seen", "points_seen 1 2", "bad points_seen '1 2'"),
+        ("balls", "balls 2.5", "bad balls '2.5'"),
+        ("ball", "ball r", "bad ball 'r'"),
+        ("center", "center 1 2", "center has the wrong dimension"),
+        ("slack", "slack many", "bad slack 'many'"),
+        ("slack entry", "x 0.5", "bad slack id 'x'"),
+        ("slack entry", "3 y", "bad slack coefficient 'y'"),
+        ("slack entry", "3", "slack coefficient needs an id and a value"),
+        ("core", "core", "bad core ''"),
+        ("member", "1 2 3", "core member has the wrong field count"),
+        ("member", "a +1 0 0 0 0 0 1 0.3", "bad member id 'a'"),
+        ("member", "0 one 0 0 0 0 0 1 0.3", "bad member label 'one'"),
+        ("member", "0 1 0 z 0 0 0 1 0.3", "bad member coordinate 'z'"),
+        ("member", "0 1 0 0 0 0 0 1 w", "bad member slack weight 'w'"),
+        ("reference", "r", "bad member id 'r'"),
+        ("reference", "999999", "member 999999 was not written earlier"),
+    ],
+)
+def test_model_file_names_a_bad_record_and_its_line(
+    tmp_path, dataset_file, where, edit, message
+):
+    ds = load_libsvm(dataset_file)
+    model = Model(ModelParams(dim=ds.dim, C=10.0)).train_stream(ds.examples)
+    save_model(model, tmp_path / "m.bbsvm")
+    lines = (tmp_path / "m.bbsvm").read_text().splitlines()
+    index = _line_index(lines, where)
+    lines[index] = edit
+    bad = tmp_path / "bad.bbsvm"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError) as err:
+        load_model(bad)
+    assert str(err.value) == f"line {index + 1}: {message}"
+    assert run_cli(["predict", "--model", str(bad), "--data", str(dataset_file)]) == 2
 
 
 def test_model_file_detects_truncation(tmp_path, model_file):
@@ -144,6 +249,20 @@ def test_model_file_detects_truncation(tmp_path, model_file):
     truncated.write_text("\n".join(text[: len(text) // 2]) + "\n")
     with pytest.raises(ModelFormatError):
         load_model(truncated)
+
+
+@pytest.mark.parametrize("count", ["1", "-2"])
+def test_model_file_rejects_records_after_the_last_ball(tmp_path, count):
+    lines = V2_MODEL.read_text().splitlines()
+    index = lines.index("balls 5")
+    lines[index] = f"balls {count}"
+    bad = tmp_path / "short.bbsvm"
+    bad.write_text("\n".join(lines) + "\n")
+    balls = [i for i, line in enumerate(lines) if line.startswith("ball ")]
+    first_extra = balls[1] if count == "1" else index + 1
+    message = f"line {first_extra + 1}: record after the last ball"
+    with pytest.raises(ModelFormatError, match=f"^{message}$"):
+        load_model(bad)
 
 
 def test_eval_writes_csv(tmp_path, dataset_file):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,19 @@ def test_score_zero_norm_center_contributes_nothing():
     p = raw([0.5, 0.0], 0)
     assert len(support(cover, p)) == 1
     assert score(cover, p) == 0.0
+
+
+def test_slack_weight_follows_C_through_replace():
+    params = ModelParams(dim=2, C=10.0)
+    assert params.slack_weight == 1.0 / math.sqrt(10.0)
+    assert replace(params, C=4.0).slack_weight == 0.5
+    assert replace(params, C=math.inf).slack_weight == 0.0
+    assert replace(params, C=3.0).slack_weight == 1.0 / math.sqrt(3.0)
+    # derived state, not a field: equality and repr are the fields' alone
+    assert params == ModelParams(dim=2, C=10.0)
+    assert "slack_weight" not in repr(params)
+    p = feature_map(sv(1.0, 0.0), 1, params, 0)
+    assert p.slack_weight == params.slack_weight
 
 
 @pytest.mark.parametrize("tail", [0, 2000])
