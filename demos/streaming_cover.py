@@ -27,7 +27,7 @@ for i in range(5000):
     if cover.offer(buffer, p):
         merges += 1
     if (i + 1) % 1000 == 0:
-        radii = ", ".join(f"{b.radius:.3f}" for b in cover.balls)
+        radii = ", ".join(f"{cs.ball.radius:.3f}" for cs in cover.cores)
         print(f"{cover.points_seen:>8} {len(cover.cores):>6} [{radii}]")
 cover.flush(buffer)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meb import AugPoint, Ball, CoreSet, approx_meb
+from .meb import AugPoint, CoreSet, approx_meb
 
 __all__ = ["BlurredBallCover", "Lookahead"]
 
@@ -53,18 +53,15 @@ class BlurredBallCover:
         self.points_seen = 0
         self._refresh_cache()
 
-    @property
-    def balls(self) -> list[Ball]:
-        return [cs.ball for cs in self.cores]
-
     def escapes(self, p: AugPoint) -> bool:
         """True iff ``p`` lies outside every (1+eps)-expanded retained ball.
 
         Vacuously true on an empty cover; boundary points count as inside.
-        ``p`` must be fresh (see ``offer``): it then meets no center's slack
-        coefficients, so its squared distance is the explicit part plus both
-        slack norms.  The newest ball is tested first and the rest only when
-        ``p`` is outside it, which is exact (see the module docstring).
+        ``p`` must be fresh, its id a stream position no center has met (see
+        ``offer``): it then meets no center's slack coefficients, so its
+        squared distance is the explicit part plus both slack norms.  The
+        newest ball is tested first and the rest only when ``p`` is outside
+        it, which is exact (see the module docstring).
         """
         if self._centers is None:
             return True
@@ -83,9 +80,9 @@ class BlurredBallCover:
 
         Returns whether a merge update was performed.  Whenever the buffer
         is processed it is cleared afterward, merge or not.  ``p.id`` must
-        be new to the cover (``Model`` numbers its stream from ``next_id``
-        for this): the escape test ignores slack axes a point shares with a
-        center, and a merge keeps only one point of each id.
+        be new to the cover (``Model`` passes the stream position, which is
+        ``points_seen`` before the offer): the escape test ignores slack axes
+        a point shares with a center, and a merge keeps one point of each id.
         """
         buffer.pending.append(p)
         self.points_seen += 1

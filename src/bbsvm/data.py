@@ -51,15 +51,6 @@ class SparseVector:
                 norm = scale * math.sqrt(float(u.dot(u)))
         return norm
 
-    def to_dense(self, dim: int) -> np.ndarray:
-        if self.indices.size and int(self.indices[-1]) > dim:
-            raise ValueError(
-                f"feature index {int(self.indices[-1])} exceeds dimension {dim}"
-            )
-        out = np.zeros(dim)
-        out[self.indices - 1] = self.values
-        return out
-
 
 @dataclass(eq=False)
 class TrainingExample:

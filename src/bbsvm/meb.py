@@ -49,9 +49,6 @@ class AugPoint:
     id: int
     label: int | None = None
 
-    def norm2(self) -> float:
-        return float(self.explicit @ self.explicit) + self.slack_weight**2
-
 
 @dataclass(eq=False)
 class Center:

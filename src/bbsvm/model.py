@@ -79,7 +79,7 @@ def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
         raise ValueError(f"feature index {x.indices[-1]} exceeds dimension {dim}")
     if x.indices.size and x.indices[0] < 1:
         raise ValueError(f"feature index {x.indices[0]} is below 1")
-    # In place: the bits of ``x.to_dense(dim) * factor``, -0.0 zeros included.
+    # In place: the bits of dense ``x`` times ``sign * (1/norm)``, -0.0 zeros included.
     explicit = np.zeros(dim + 1)
     explicit[x.indices - 1] = x.values
     explicit[:-1] *= sign * (1.0 / norm)
@@ -107,31 +107,28 @@ def map_test_point(x: SparseVector, params: ModelParams) -> AugPoint:
 
 @dataclass(eq=False)
 class Model:
-    """Streaming SVM state: parameters, ball cover, and lookahead buffer."""
+    """Streaming SVM state, built from ``params`` alone: the ball ``cover``,
+    whose ``points_seen`` numbers the next training point, and the lookahead
+    ``buffer``, which ``train_stream`` leaves empty.
+    """
 
     params: ModelParams
-    cover: BlurredBallCover = None  # type: ignore[assignment]
-    buffer: Lookahead = None  # type: ignore[assignment]
-    next_id: int = 0
 
     def __post_init__(self):
-        if self.cover is None:
-            self.cover = BlurredBallCover(self.params.epsilon, self.params.delta)
-        if self.buffer is None:
-            self.buffer = Lookahead(self.params.lookahead)
+        self.cover = BlurredBallCover(self.params.epsilon, self.params.delta)
+        self.buffer = Lookahead(self.params.lookahead)
 
     def train_stream(self, examples: Iterable[TrainingExample]) -> "Model":
         """Consume a training stream in one pass.
 
-        Each example is mapped with a fresh id and offered to the cover;
-        a final partial-buffer flush runs one last merge check.
+        Each example is mapped with its stream position as id and offered
+        to the cover; a final partial-buffer flush runs one last merge check.
         """
         for position, ex in enumerate(examples):
             try:
-                p = feature_map(ex.x, ex.y, self.params, self.next_id)
+                p = feature_map(ex.x, ex.y, self.params, self.cover.points_seen)
             except ValueError as err:
                 raise ValueError(f"training example {position}: {err}") from err
-            self.next_id += 1
             self.cover.offer(self.buffer, p)
         self.cover.flush(self.buffer)
         return self

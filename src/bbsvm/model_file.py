@@ -22,16 +22,17 @@ Format (UTF-8, one record per line, floats in shortest round-trip decimal):
 A core point is written in full once, where it first appears, and as its
 bare id in later balls, which load it as the same shared point.  Every
 float round-trips exactly, so a reloaded model predicts identically and
-keeps its training state (not the buffer, which ``train_stream`` leaves
-empty).  Versions 1 and 2 write every member in full; version 1 lacks the
-delta, lookahead and points_seen records (loaded as epsilon/2, 10 and 0).
+continues the stream as the saved model would: ``points_seen`` numbers the
+next training point and must exceed every member id, and points pending in
+the lookahead buffer refuse the save.  Versions 1 and 2 write every member
+in full; version 1 lacks the delta, lookahead and points_seen records
+(loaded as epsilon/2, 10 and the largest member id + 1).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cover import BlurredBallCover
 from .meb import AugPoint, Ball, Center, CoreSet
 from .model import Model, ModelParams
 
@@ -50,6 +51,9 @@ def _f(value: float) -> str:
 
 
 def save_model(model: Model, path) -> None:
+    if model.buffer.pending:
+        n = len(model.buffer.pending)
+        raise ValueError(f"{n} points are pending in the lookahead buffer; flush it")
     params = model.params
     lines = [
         f"{MAGIC} {VERSION}",
@@ -134,7 +138,8 @@ def load_model(path) -> Model:
     C = reader.record("C")
     dim = reader.record("dim", int)
     lookahead = ModelParams.lookahead if v1 else reader.record("lookahead", int)
-    points_seen = 0 if v1 else reader.record("points_seen", int)
+    points_seen = None if v1 else reader.record("points_seen", int)
+    seen_line = reader.pos
     ball_count = reader.record("balls", int)
 
     params = ModelParams(dim, epsilon, C, lookahead, delta)
@@ -175,11 +180,14 @@ def load_model(path) -> Model:
     if reader.pos < len(reader.lines):
         raise ModelFormatError(f"line {reader.pos + 1}: record after the last ball")
 
-    cover = BlurredBallCover(epsilon, params.delta)
-    cover.cores = cores
-    cover.points_seen = points_seen
-    cover._refresh_cache()
+    if v1:
+        points_seen = max(points, default=-1) + 1
+    elif points_seen <= max(points, default=-1):
+        raise ModelFormatError(
+            f"line {seen_line}: points_seen {points_seen} is not above every member id"
+        )
     model = Model(params)
-    model.cover = cover
-    model.next_id = max(points, default=-1) + 1
+    model.cover.cores = cores
+    model.cover.points_seen = points_seen
+    model.cover._refresh_cache()
     return model

@@ -7,7 +7,9 @@ the definitions of the augmented space, the all-points-by-all-balls escape
 test whose decisions ``escapes`` must repeat bit for bit, an exact minimum
 enclosing ball for dimension <= 3 to measure ``approx_meb`` against, and
 the rescaling Badoiu-Clarkson loop that ``approx_meb`` must walk step for
-step.
+step.  It also holds the small views the tests read and the library does
+not: a dense copy of a sparse vector, a point's squared norm and a cover's
+list of balls.
 """
 
 from __future__ import annotations
@@ -19,7 +21,25 @@ from typing import Sequence
 import numpy as np
 
 from bbsvm.cover import BlurredBallCover
+from bbsvm.data import SparseVector
 from bbsvm.meb import AugPoint, Ball, Center, CoreSet
+
+
+def to_dense(x: SparseVector, dim: int) -> np.ndarray:
+    """``x`` as a dense vector of length ``dim`` (index i at position i-1)."""
+    out = np.zeros(dim)
+    out[x.indices - 1] = x.values
+    return out
+
+
+def point_norm2(p: AugPoint) -> float:
+    """Squared norm of a point: its explicit block plus its slack axis."""
+    return float(p.explicit @ p.explicit) + p.slack_weight**2
+
+
+def balls(cover: BlurredBallCover) -> list[Ball]:
+    """The retained balls, oldest first."""
+    return [cs.ball for cs in cover.cores]
 
 
 def inner_product(p: AugPoint, q: AugPoint) -> float:

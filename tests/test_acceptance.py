@@ -269,9 +269,8 @@ def test_criterion_6_sublinear_space():
         peak = 0
         for i, ex in enumerate(ds.examples):
             model.cover.offer(
-                model.buffer, feature_map(ex.x, ex.y, params, model.next_id)
+                model.buffer, feature_map(ex.x, ex.y, params, model.cover.points_seen)
             )
-            model.next_id += 1
             peak = max(peak, len(model.cover.cores))
             if i + 1 == 10_000:
                 count_at_10k = len(model.cover.cores)

@@ -2,7 +2,9 @@
 
 ``bench/test_bench.py`` lies outside the test paths, so a library change
 that broke the bench tracer's patch points or its reload check would still
-pass ``pytest``.  These tests import the bench's own code and run it.
+pass ``pytest``.  These tests import the bench's own code and run it, and
+use its cover digest to check that a reloaded model resumes training as
+the saved one does.
 """
 
 import importlib.util
@@ -10,6 +12,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbsvm.data import generate_synthetic
 from bbsvm.model import Model, ModelParams
@@ -33,3 +37,33 @@ def test_bench_cover_digest_survives_save_and_load(tmp_path, C):
     save_model(model, tmp_path / "m.bbsvm")
     digest = bench_tests.worker.cover_digest
     assert digest(load_model(tmp_path / "m.bbsvm")) == digest(model)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(20, 300),
+    split=st.floats(0.0, 1.0),
+    C=st.sampled_from([math.inf, 10.0]),
+    lookahead=st.sampled_from([0, 3, 10]),
+)
+def test_a_reloaded_model_resumes_training_exactly(
+    tmp_path_factory, seed, n, split, C, lookahead
+):
+    # Train on a prefix, then continue on the rest in memory and after a
+    # save/load: the two covers and their saved files must be identical.
+    noise = 0.0 if C == math.inf else 0.05
+    examples = generate_synthetic(n, 8, 0.05, noise, seed=seed).examples
+    k = int(split * n)
+    params = ModelParams(dim=8, epsilon=0.01, C=C, lookahead=lookahead)
+    model = Model(params).train_stream(examples[:k])
+    path = tmp_path_factory.mktemp("resume")
+    save_model(model, path / "prefix.bbsvm")
+    loaded = load_model(path / "prefix.bbsvm")
+    model.train_stream(examples[k:])
+    loaded.train_stream(examples[k:])
+    digest = bench_tests.worker.cover_digest
+    assert digest(loaded) == digest(model)
+    save_model(model, path / "memory.bbsvm")
+    save_model(loaded, path / "loaded.bbsvm")
+    assert (path / "loaded.bbsvm").read_bytes() == (path / "memory.bbsvm").read_bytes()

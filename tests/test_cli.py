@@ -7,7 +7,7 @@ import pytest
 from bbsvm.cli import run_cli
 from bbsvm.data import generate_synthetic, load_libsvm
 from bbsvm.experiments import CSV_HEADER
-from bbsvm.model import Model, ModelParams
+from bbsvm.model import Model, ModelParams, feature_map
 from bbsvm.model_file import ModelFormatError, load_model, save_model
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -170,7 +170,8 @@ def test_model_file_keeps_training_state(tmp_path):
     assert loaded.params == model.params
 
 
-def test_model_file_version_1_loads_with_defaults(tmp_path):
+def _version_1_copy(tmp_path):
+    """The v2 fixture without the records that version 1 lacks."""
     lines = V2_MODEL.read_text().splitlines()
     lines = ["BBSVM 1"] + [
         line for line in lines[1:]
@@ -178,12 +179,52 @@ def test_model_file_version_1_loads_with_defaults(tmp_path):
     ]
     v1 = tmp_path / "v1.bbsvm"
     v1.write_text("\n".join(lines) + "\n")
-    model, old = load_model(V2_MODEL), load_model(v1)
+    return v1
+
+
+def _member_ids(model):
+    return {p.id for cs in model.cover.cores for p in cs.members}
+
+
+def test_model_file_version_1_loads_with_defaults(tmp_path):
+    model, old = load_model(V2_MODEL), load_model(_version_1_copy(tmp_path))
     assert old.params.delta == old.params.epsilon / 2.0
-    assert old.params.lookahead == 10 and old.cover.points_seen == 0
-    assert old.params.C == model.params.C and old.next_id == model.next_id
+    assert old.params.lookahead == 10
+    assert old.cover.points_seen == max(_member_ids(old)) + 1
+    assert old.params.C == model.params.C
     xs = [ex.x for ex in load_libsvm(FIXTURES / "v2_train.txt").examples]
     assert np.array_equal(old.predict(xs), model.predict(xs))
+
+
+def test_model_file_version_1_continues_with_fresh_ids(tmp_path):
+    # Without a count, training resumes past every member id, so no fresh
+    # point shares an id (and a slack axis) with a core point.
+    old = load_model(_version_1_copy(tmp_path))
+    before = _member_ids(old)
+    more = generate_synthetic(200, 3, 0.1, 0.05, seed=12)
+    old.train_stream(more.examples)
+    slack_ids = {pid for cs in old.cover.cores for pid in cs.ball.center.slack_coeffs}
+    fresh = (_member_ids(old) | slack_ids) - before
+    assert fresh and min(fresh) > max(before)
+
+
+def test_save_model_refuses_pending_lookahead_points(tmp_path):
+    ds = generate_synthetic(23, 4, 0.1, 0.0, seed=3)
+    model = Model(ModelParams(dim=4, epsilon=0.01, lookahead=10))
+    for ex in ds.examples:
+        p = feature_map(ex.x, ex.y, model.params, model.cover.points_seen)
+        model.cover.offer(model.buffer, p)
+    assert len(model.buffer.pending) == 3
+    path = tmp_path / "m.bbsvm"
+    with pytest.raises(ValueError, match="^3 points are pending"):
+        save_model(model, path)
+    assert not path.exists()
+
+    model.cover.flush(model.buffer)
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.cover.points_seen == 23
+    assert_same_cover(loaded, model)
 
 
 def _line_index(lines, where):
@@ -209,6 +250,9 @@ def _line_index(lines, where):
         ("dim", "dim", "bad dim ''"),
         ("lookahead", "lookahead ten", "bad lookahead 'ten'"),
         ("points_seen", "points_seen 1 2", "bad points_seen '1 2'"),
+        ("points_seen", "points_seen 3", "points_seen 3 is not above every member id"),
+        # 94 is the largest member id of the model below: equal is too small.
+        ("points_seen", "points_seen 94", "points_seen 94 is not above every member id"),
         ("balls", "balls 2.5", "bad balls '2.5'"),
         ("ball", "ball r", "bad ball 'r'"),
         ("center", "center 1 2", "center has the wrong dimension"),

@@ -9,7 +9,13 @@ from bbsvm.cover import BlurredBallCover, Lookahead
 from bbsvm.data import generate_synthetic
 from bbsvm.meb import AugPoint, Ball, Center, CoreSet, approx_meb
 from bbsvm.model import Model, ModelParams, feature_map
-from oracle import distance2, escape_distances, escape_mask, expansion_contains
+from oracle import (
+    balls,
+    distance2,
+    escape_distances,
+    escape_mask,
+    expansion_contains,
+)
 
 
 def raw(vec, pid):
@@ -90,7 +96,7 @@ def test_escapes_matches_exact_distances_on_trained_covers(
     cover = model.cover
     for k, ex in enumerate(ds.examples[n:]):
         y = ex.y if k % 2 else -ex.y  # a flipped label mostly escapes
-        p = feature_map(ex.x, y, model.params, model.next_id + k)
+        p = feature_map(ex.x, y, model.params, cover.points_seen + k)
         pairs = [
             (distance2(cs.ball.center, p), ((1.0 + eps) * cs.ball.radius) ** 2)
             for cs in cover.cores
@@ -117,7 +123,7 @@ def test_escapes_repeats_the_all_balls_reference(C, lookahead):
     model, fresh = _trained(C, lookahead)
     cover = model.cover
     pts = [
-        feature_map(ex.x, ex.y if k % 2 else -ex.y, model.params, model.next_id + k)
+        feature_map(ex.x, ex.y if k % 2 else -ex.y, model.params, cover.points_seen + k)
         for k, ex in enumerate(fresh)
     ]
     got = np.array([cover.escapes(p) for p in pts])
@@ -157,7 +163,7 @@ def _on_older_boundaries(cover, slack_weight, first_id, tries=100):
 def test_points_on_an_older_expanded_boundary_count_as_inside(C, lookahead):
     model, _ = _trained(C, lookahead)
     cover = model.cover
-    pts = _on_older_boundaries(cover, model.params.slack_weight, model.next_id)
+    pts = _on_older_boundaries(cover, model.params.slack_weight, cover.points_seen)
     assert len(pts) >= 20
     assert not escape_mask(cover, pts).any()
     assert not any(cover.escapes(p) for p in pts)
@@ -190,12 +196,12 @@ def test_offer_lookahead_zero_processes_immediately():
 def test_offer_all_inside_clears_without_merge():
     cover = BlurredBallCover(0.1)
     cover.merge_update(ring((0.0, 0.0), 1.0, 8, 0))
-    balls_before = cover.balls
+    balls_before = balls(cover)
     buf = Lookahead(3)
     merged = [cover.offer(buf, raw([0.01 * i, 0.0], 100 + i)) for i in range(3)]
     assert merged == [False, False, False]
     assert buf.pending == []
-    assert cover.balls == balls_before
+    assert balls(cover) == balls_before
 
 
 def test_offer_capacity_reached_with_escape_merges():

@@ -13,6 +13,7 @@ from bbsvm.data import (
     shuffled,
     SparseVector,
 )
+from oracle import to_dense
 
 
 # ---------------------------------------------------------------------- parser
@@ -143,7 +144,7 @@ def test_generate_separable_with_margin():
     u = rng.standard_normal(8)
     u /= np.linalg.norm(u)
     for ex in ds.examples:
-        proj = float(ex.x.to_dense(8) @ u)
+        proj = float(to_dense(ex.x, 8) @ u)
         assert abs(proj) >= 0.25
         assert ex.y == (1 if proj >= 0 else -1)
 

@@ -19,7 +19,7 @@ from bbsvm.data import (
 from bbsvm.meb import AugPoint, Ball, Center, CoreSet
 from bbsvm.model import Model, ModelParams, feature_map, map_test_point
 from bbsvm.model_file import load_model, save_model
-from oracle import center_dot, score, support
+from oracle import center_dot, point_norm2, score, support, to_dense
 
 
 def sv(*values):
@@ -40,7 +40,7 @@ def test_feature_map_normalizes_and_appends_bias():
     assert np.allclose(p.explicit, [0.6, 0.8, 1.0], atol=1e-15)
     assert p.slack_weight == 0.0
     assert p.label == 1
-    assert math.isclose(math.sqrt(p.norm2()), math.sqrt(2.0), rel_tol=1e-12)
+    assert math.isclose(math.sqrt(point_norm2(p)), math.sqrt(2.0), rel_tol=1e-12)
 
 
 def test_feature_map_label_antisymmetry_exact():
@@ -55,7 +55,7 @@ def test_feature_map_finite_c_slack():
     p = feature_map(sv(1.0, 0.0), 1, params, 3)
     assert np.array_equal(p.explicit, [1.0, 0.0, 1.0])
     assert p.slack_weight == 1.0
-    assert math.isclose(p.norm2(), params.kappa**2, rel_tol=1e-12)
+    assert math.isclose(point_norm2(p), params.kappa**2, rel_tol=1e-12)
     assert math.isclose(params.kappa, math.sqrt(3.0), rel_tol=1e-15)
 
 
@@ -96,7 +96,7 @@ def test_feature_map_negative_label_matches_dense_formula_bit_for_bit():
         x = SparseVector(idx, rng.standard_normal(idx.size))
         for y in (-1, 1):
             got = feature_map(x, y, ModelParams(dim=dim), 0).explicit
-            want = x.to_dense(dim) * (y * (1.0 / x.norm()))
+            want = to_dense(x, dim) * (y * (1.0 / x.norm()))
             assert got[:-1].tobytes() == want.tobytes()
             assert got[-1] == y
             assert np.signbit(got[:-1][want == 0.0]).all() == (y < 0)
@@ -187,7 +187,7 @@ def test_train_stream_empty():
     model = Model(ModelParams(dim=3))
     model.train_stream([])
     assert model.cover.cores == []
-    assert model.next_id == 0
+    assert model.cover.points_seen == 0
 
 
 def test_train_stream_single_example():
@@ -195,14 +195,14 @@ def test_train_stream_single_example():
     model.train_stream([TrainingExample(sv(1.0, 1.0), 1)])
     assert len(model.cover.cores) == 1
     assert model.cover.cores[0].ball.radius == 0.0
-    assert model.next_id == 1
+    assert model.cover.points_seen == 1
 
 
 def test_train_stream_flushes_partial_buffer():
     model = Model(ModelParams(dim=2, lookahead=10))
     model.train_stream([TrainingExample(sv(1.0, 1.0), 1)] * 3)
     assert len(model.cover.cores) == 1  # flush ran a merge check
-    assert model.next_id == 3
+    assert model.cover.points_seen == 3
 
 
 def test_train_stream_error_carries_position():
