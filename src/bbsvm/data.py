@@ -41,7 +41,7 @@ class SparseVector:
 
     def norm(self) -> float:
         v = self.values
-        norm = math.sqrt(float(v.dot(v)))  # what np.linalg.norm computes
+        norm = math.sqrt(float(np.vdot(v, v)))  # np.linalg.norm's bits, no warning
         if norm == math.inf or (norm == 0.0 and v.any()):
             # The squares overflowed or underflowed: rescale by the largest
             # magnitude.  Other inputs keep the plain norm bit for bit.

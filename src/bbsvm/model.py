@@ -26,6 +26,7 @@ from .meb import AugPoint
 __all__ = ["Model", "ModelParams", "feature_map", "map_test_point"]
 
 TEST_POINT_ID = -1
+QUERY_CHUNK = 1024  # queries whose indices and values predict concatenates at once
 
 
 @dataclass
@@ -87,6 +88,31 @@ def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
     return explicit
 
 
+def _query_rows(xs: Sequence[SparseVector], params: ModelParams) -> np.ndarray:
+    """The rows ``_augment(x, 1, params)`` of a batch, bit for bit, as one block."""
+    P = np.zeros((len(xs), params.dim + 1))
+    for start in range(0, len(xs), QUERY_CHUNK):
+        chunk = xs[start : start + QUERY_CHUNK]
+        norms = np.array([x.norm() for x in chunk])
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = 1.0 / norms
+        rows = np.repeat(np.arange(len(chunk)), [x.indices.size for x in chunk])
+        cols = np.concatenate([x.indices for x in chunk]) - 1
+        fine = (0.0 < norms) & (norms < math.inf) & (scale < math.inf)
+        bad = [*np.flatnonzero(~fine), *rows[(cols < 0) | (cols >= params.dim)]]
+        if bad:  # _augment checks sorted indices' ends: the sorted twin raises
+            x = chunk[min(bad)]
+            try:
+                _augment(SparseVector(np.sort(x.indices), x.values), 1, params)
+            except ValueError as err:
+                raise ValueError(f"query {start + min(bad)}: {err}") from err
+        block = P[start : start + len(chunk)]
+        block[rows, cols] = np.concatenate([x.values for x in chunk])
+        block[:, :-1] *= scale[:, None]
+    P[:, -1] = 1.0
+    return P
+
+
 def feature_map(
     x: SparseVector, y: int, params: ModelParams, point_id: int
 ) -> AugPoint:
@@ -139,19 +165,16 @@ class Model:
         For each query p the decision is sign(S(p) - S(-p)) where S sums
         the signed distances over the balls containing its argument; exact
         ties fall back to the sign of the summed distances over all balls,
-        and +1 if that is still zero.  A query that cannot be mapped raises
-        ``ValueError`` naming its position.
+        and +1 if that is still zero.  The queries are mapped as one block,
+        a chunk of rows scattered at once and each row scaled by 1/norm: the
+        bits of the per-point map.  A query that cannot be mapped, or with
+        any index outside 1..dim, raises ``ValueError`` naming its position.
         """
         arrays = self.cover.query_arrays()
         if arrays is None:
             raise ValueError("model has no balls; train before classifying")
         centers, center_slack2, radii = arrays
-        P = np.empty((len(xs), self.params.dim + 1))
-        for position, x in enumerate(xs):
-            try:
-                P[position] = _augment(x, 1, self.params)
-            except ValueError as err:
-                raise ValueError(f"query {position}: {err}") from err
+        P = _query_rows(xs, self.params)
 
         cen2 = np.einsum("ij,ij->i", centers, centers)
         norms2 = cen2 + center_slack2

@@ -23,10 +23,10 @@ A core point is written in full once, where it first appears, and as its
 bare id in later balls, which load it as the same shared point.  Every
 float round-trips exactly, so a reloaded model predicts identically and
 continues the stream as the saved model would: ``points_seen`` numbers the
-next training point and must exceed every member id, and points pending in
-the lookahead buffer refuse the save.  Versions 1 and 2 write every member
-in full; version 1 lacks the delta, lookahead and points_seen records
-(loaded as epsilon/2, 10 and the largest member id + 1).
+next training point and exceeds every member id, each slack id is a member
+of its ball, and points pending in the lookahead buffer refuse the save.
+Versions 1 and 2 write every member in full; version 1 lacks the delta,
+lookahead and points_seen records (epsilon/2, 10, largest member id + 1).
 """
 
 from __future__ import annotations
@@ -156,12 +156,14 @@ def load_model(path) -> Model:
         if explicit.size != dim + 1:
             raise reader.error("center has the wrong dimension")
         coeffs: dict[int, float] = {}
+        slack_lines = []
         for _ in range(reader.record("slack", int)):
             parts = reader.next()
             if len(parts) != 2:
                 raise reader.error("slack coefficient needs an id and a value")
             pid = reader.number(parts[0], "slack id", int)
             coeffs[pid] = reader.number(parts[1], "slack coefficient")
+            slack_lines.append((reader.pos, pid))
         members = []
         for _ in range(reader.record("core", int)):
             parts = reader.next()
@@ -176,6 +178,11 @@ def load_model(path) -> Model:
             elif pid not in points:
                 raise reader.error(f"member {pid} was not written earlier")
             members.append(points[pid])
+        # Slack ids name members, which points_seen must exceed (checked below).
+        ids = {p.id for p in members}
+        for line, pid in slack_lines:
+            if pid not in ids:
+                raise ModelFormatError(f"line {line}: slack id {pid} is no core member")
         cores.append(CoreSet(members, Ball(Center(explicit, coeffs), radius)))
     if reader.pos < len(reader.lines):
         raise ModelFormatError(f"line {reader.pos + 1}: record after the last ball")

@@ -260,6 +260,9 @@ def _line_index(lines, where):
         ("slack entry", "x 0.5", "bad slack id 'x'"),
         ("slack entry", "3 y", "bad slack coefficient 'y'"),
         ("slack entry", "3", "slack coefficient needs an id and a value"),
+        # The first ball's core is 0, 1, 2, 3, 5, 9, and points_seen is 100.
+        ("slack entry", "4 0.5", "slack id 4 is no core member"),
+        ("slack entry", "100 0.5", "slack id 100 is no core member"),
         ("core", "core", "bad core ''"),
         ("member", "1 2 3", "core member has the wrong field count"),
         ("member", "a +1 0 0 0 0 0 1 0.3", "bad member id 'a'"),

@@ -91,7 +91,7 @@ def test_round_trip_preserves_awkward_floats():
         assert np.array_equal(a.x.values, b.x.values)  # exact decimal round-trip
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_sparse_vector_norm():
     rng = np.random.default_rng(12)
     for scale in (1e-3, 1.0, 1e3):

@@ -183,7 +183,7 @@ def test_perceptron_bad_rows_raise_with_their_position(bad):
         perceptron_stream([good], Dataset([good, row], 2))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_perceptron_huge_rows_train_like_their_unit_twins():
     # Squaring 1e200 overflows.  A map that fell back to the bias-only point
     # [0, 0, 1] would end at w = [1, 0, 0] and score this probe set at 0.5.

@@ -4,10 +4,14 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bbsvm.model
 from bbsvm.cover import BlurredBallCover
 from bbsvm.data import (
     Dataset,
@@ -17,7 +21,15 @@ from bbsvm.data import (
     parse_libsvm,
 )
 from bbsvm.meb import AugPoint, Ball, Center, CoreSet
-from bbsvm.model import Model, ModelParams, feature_map, map_test_point
+from bbsvm.model import (
+    QUERY_CHUNK,
+    Model,
+    ModelParams,
+    _augment,
+    _query_rows,
+    feature_map,
+    map_test_point,
+)
 from bbsvm.model_file import load_model, save_model
 from oracle import center_dot, point_norm2, score, support, to_dense
 
@@ -125,7 +137,7 @@ def test_non_finite_input_never_reaches_a_ball():
         model.predict([examples[0].x, examples[1].x])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_extreme_magnitudes_train_and_predict_like_unit_values():
     # The squares of 1e200 overflow and those of 1e-200 underflow; the norm
     # rescales, so both rows map exactly like "+1 1:1 2:1".
@@ -335,6 +347,105 @@ def test_predict_error_names_the_query(bad):
         model.predict(queries)
 
 
+@st.composite
+def query_batches(draw):
+    """(dim, chunk, queries) with more queries than the chunk: dense and sparse
+    rows, magnitudes from 1e-200 to 1e200, signed zeros and zero rows."""
+    dim = draw(st.integers(1, 40))
+    chunk = draw(st.integers(1, 4))
+    mantissas = st.floats(0.5, 10.0) | st.floats(-10.0, -0.5)
+    value = st.builds(lambda m, e: m * 10.0**e, mantissas, st.integers(-200, 200))
+    queries = []
+    for _ in range(draw(st.integers(chunk + 1, 2 * chunk + 1))):
+        if draw(st.booleans()):
+            indices = np.arange(1, dim + 1)
+        else:
+            chosen = draw(st.sets(st.integers(1, dim), min_size=1, max_size=dim))
+            indices = np.array(sorted(chosen))
+        values = draw(
+            st.lists(
+                value | st.sampled_from([0.0, -0.0]),
+                min_size=indices.size,
+                max_size=indices.size,
+            )
+        )
+        queries.append(SparseVector(indices, np.array(values)))
+    return dim, chunk, queries
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(query_batches())
+def test_query_block_rows_are_the_bits_of_the_per_point_map(batch):
+    dim, chunk, queries = batch
+    params = ModelParams(dim=dim)
+    rows = []
+    for position, x in enumerate(queries):
+        try:
+            rows.append(_augment(x, 1, params))
+        except ValueError as err:
+            expected = f"query {position}: {err}"
+            break
+    else:
+        expected = None
+    with patch.object(bbsvm.model, "QUERY_CHUNK", chunk):
+        if expected is not None:
+            with pytest.raises(ValueError) as err:
+                _query_rows(queries, params)
+            assert str(err.value) == expected
+            return
+        block = _query_rows(queries, params)
+    assert block.shape == (len(queries), dim + 1)
+    assert np.array_equal(block.view(np.int64), np.stack(rows).view(np.int64))
+
+
+BAD_QUERIES = {  # for dim 3
+    "nan": SparseVector(np.array([1, 2]), np.array([math.nan, 1.0])),
+    "zero": SparseVector(np.array([2]), np.array([0.0])),
+    "tiny": SparseVector(np.array([1, 3]), np.array([5e-324, 0.0])),
+    "high": SparseVector(np.array([1, 4]), np.array([1.0, 2.0])),
+    "low": SparseVector(np.array([0, 2]), np.array([1.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize(
+    "first, later",
+    [("nan", "high"), ("high", "zero"), ("low", "tiny"), ("tiny", "low"), ("zero", "nan")],
+)
+def test_predict_names_the_first_bad_query_across_chunks(first, later):
+    params = ModelParams(dim=3)
+    good = TrainingExample(sv(1.0, 0.5, -2.0), 1)
+    model = Model(params).train_stream([good])
+    n = QUERY_CHUNK + 5
+    with pytest.raises(ValueError) as err:
+        _augment(BAD_QUERIES[first], 1, params)
+    message = str(err.value)
+    for position in (QUERY_CHUNK - 1, QUERY_CHUNK, n - 1):
+        queries = [good.x] * position + [BAD_QUERIES[first]]
+        queries += [BAD_QUERIES[later]] * (n - 1 - position)
+        with pytest.raises(ValueError) as err:
+            model.predict(queries)
+        assert str(err.value) == f"query {position}: {message}"
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (5, "feature index 5 exceeds dimension 4"),
+        (9, "feature index 9 exceeds dimension 4"),
+        (0, "feature index 0 is below 1"),
+    ],
+)
+def test_predict_checks_every_index_of_an_unsorted_query(index, message):
+    # Index dim+1 would land in the bias slot and dim+5 outside the block;
+    # neither is at an end of the indices, which is all _augment checks.
+    params = ModelParams(dim=4)
+    ok = TrainingExample(sv(1.0, 0.5, 0.0, 2.0), 1)
+    model = Model(params).train_stream([ok])
+    x = SparseVector(np.array([3, index, 1]), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match=f"^query 1: {message}$"):
+        model.predict([ok.x, x])
+
+
 def test_classify_single_ball_sign_symmetry():
     ds = generate_synthetic(200, 4, 0.3, 0.0, seed=5)
     model = Model(ModelParams(dim=4, epsilon=0.01)).train_stream(ds.examples)
@@ -365,23 +476,26 @@ def test_prediction_deterministic():
     assert all(model.classify(x) == model.classify(x) for _ in range(5))
 
 
-def test_predict_matches_scalar_score_rule():
+def test_predict_matches_scalar_score_rule(monkeypatch):
     ds = generate_synthetic(500, 5, 0.15, 0.0, seed=9)
     model = Model(ModelParams(dim=5, epsilon=0.01)).train_stream(ds.examples)
     queries = generate_synthetic(150, 5, 0.0, 0.0, seed=10).examples
+    expected = []
     for ex in queries:
         p = map_test_point(ex.x, model.params)
         neg = AugPoint(-p.explicit, 0.0, p.id)
         s = score(model.cover, p) - score(model.cover, neg)
         if s != 0.0:
-            expected = 1 if s > 0 else -1
+            expected.append(1 if s > 0 else -1)
         else:
             fallback = sum(
                 center_dot(cs.ball.center, p) / math.sqrt(cs.ball.center.norm2())
                 for cs in model.cover.cores
             )
-            expected = -1 if fallback < 0 else 1
-        assert model.classify(ex.x) == expected
+            expected.append(-1 if fallback < 0 else 1)
+    for chunk in (16, QUERY_CHUNK):  # a batch of many chunks, and of one
+        monkeypatch.setattr(bbsvm.model, "QUERY_CHUNK", chunk)
+        assert np.array_equal(model.predict([ex.x for ex in queries]), expected)
 
 
 # ----------------------------------------------------- separator-geometry laws
