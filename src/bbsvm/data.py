@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 GZIP_SUFFIX = ".gz"
+_vdot = np.vdot.__wrapped__  # v.dot's bits, no overflow warning, no dispatch cost
 
 
 class DataFormatError(ValueError):
@@ -41,7 +42,7 @@ class SparseVector:
 
     def norm(self) -> float:
         v = self.values
-        norm = math.sqrt(float(np.vdot(v, v)))  # np.linalg.norm's bits, no warning
+        norm = math.sqrt(_vdot(v, v))
         if norm == math.inf or (norm == 0.0 and v.any()):
             # The squares overflowed or underflowed: rescale by the largest
             # magnitude.  Other inputs keep the plain norm bit for bit.

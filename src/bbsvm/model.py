@@ -26,7 +26,7 @@ from .meb import AugPoint
 __all__ = ["Model", "ModelParams", "feature_map", "map_test_point"]
 
 TEST_POINT_ID = -1
-QUERY_CHUNK = 1024  # queries whose indices and values predict concatenates at once
+QUERY_CHUNK = 256  # queries whose indices and values predict concatenates at once
 
 
 @dataclass
@@ -88,28 +88,26 @@ def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
     return explicit
 
 
+@np.errstate(divide="ignore", over="ignore")  # each 1/norm is checked below
 def _query_rows(xs: Sequence[SparseVector], params: ModelParams) -> np.ndarray:
     """The rows ``_augment(x, 1, params)`` of a batch, bit for bit, as one block."""
     P = np.zeros((len(xs), params.dim + 1))
+    P[:, -1] = 1.0
     for start in range(0, len(xs), QUERY_CHUNK):
         chunk = xs[start : start + QUERY_CHUNK]
-        norms = np.array([x.norm() for x in chunk])
-        with np.errstate(divide="ignore", over="ignore"):
-            scale = 1.0 / norms
-        rows = np.repeat(np.arange(len(chunk)), [x.indices.size for x in chunk])
+        stop = start + len(chunk)
+        scale = 1.0 / np.array([x.norm() for x in chunk])
+        rows = np.repeat(np.arange(start, stop), [x.indices.size for x in chunk])
         cols = np.concatenate([x.indices for x in chunk]) - 1
-        fine = (0.0 < norms) & (norms < math.inf) & (scale < math.inf)
-        bad = [*np.flatnonzero(~fine), *rows[(cols < 0) | (cols >= params.dim)]]
-        if bad:  # _augment checks sorted indices' ends: the sorted twin raises
-            x = chunk[min(bad)]
-            try:
-                _augment(SparseVector(np.sort(x.indices), x.values), 1, params)
-            except ValueError as err:
-                raise ValueError(f"query {start + min(bad)}: {err}") from err
-        block = P[start : start + len(chunk)]
-        block[rows, cols] = np.concatenate([x.values for x in chunk])
-        block[:, :-1] *= scale[:, None]
-    P[:, -1] = 1.0
+        fine = (0.0 < scale) & (scale < math.inf)  # _augment's norm check
+        if not fine.all() or ((cols < 0) | (cols >= params.dim)).any():
+            for k, x in enumerate(chunk, start):  # _augment checks only the ends: sort
+                try:
+                    _augment(SparseVector(np.sort(x.indices), x.values), 1, params)
+                except ValueError as err:
+                    raise ValueError(f"query {k}: {err}") from err
+        P[rows, cols] = np.concatenate([x.values for x in chunk])
+        P[start:stop, :-1] *= scale[:, None]
     return P
 
 
@@ -165,9 +163,8 @@ class Model:
         For each query p the decision is sign(S(p) - S(-p)) where S sums
         the signed distances over the balls containing its argument; exact
         ties fall back to the sign of the summed distances over all balls,
-        and +1 if that is still zero.  The queries are mapped as one block,
-        a chunk of rows scattered at once and each row scaled by 1/norm: the
-        bits of the per-point map.  A query that cannot be mapped, or with
+        and +1 if that is still zero.  The queries are mapped as one block with
+        the bits of the per-point map; a query that cannot be mapped, or with
         any index outside 1..dim, raises ``ValueError`` naming its position.
         """
         arrays = self.cover.query_arrays()
@@ -193,9 +190,7 @@ class Model:
         margin = (in_pos * signed).sum(axis=1) + (in_neg * signed).sum(axis=1)
         labels = np.where(margin > 0.0, 1, -1)
         tied = margin == 0.0
-        if tied.any():
-            fallback = signed[tied].sum(axis=1)
-            labels[tied] = np.where(fallback < 0.0, -1, 1)
+        labels[tied] = np.where(signed[tied].sum(axis=1) < 0.0, -1, 1)
         return labels
 
     def classify(self, x: SparseVector) -> int:

@@ -178,8 +178,7 @@ def load_model(path) -> Model:
             elif pid not in points:
                 raise reader.error(f"member {pid} was not written earlier")
             members.append(points[pid])
-        # Slack ids name members, which points_seen must exceed (checked below).
-        ids = {p.id for p in members}
+        ids = {p.id for p in members}  # ids below points_seen, checked below
         for line, pid in slack_lines:
             if pid not in ids:
                 raise ModelFormatError(f"line {line}: slack id {pid} is no core member")

@@ -493,6 +493,7 @@ def test_predict_matches_scalar_score_rule(monkeypatch):
                 for cs in model.cover.cores
             )
             expected.append(-1 if fallback < 0 else 1)
+    assert [model.classify(ex.x) for ex in queries] == expected  # one-row blocks
     for chunk in (16, QUERY_CHUNK):  # a batch of many chunks, and of one
         monkeypatch.setattr(bbsvm.model, "QUERY_CHUNK", chunk)
         assert np.array_equal(model.predict([ex.x for ex in queries]), expected)
