@@ -111,6 +111,12 @@ def _cmd_train(args) -> int:
     dataset = _load_nonempty(args.data)
     model = Model(_model_params(args, dataset.dim)).train_stream(dataset.examples)
     save_model(model, args.model)
+    for k, cs in enumerate(model.cover.cores):
+        if cs.ball.radius >= model.params.kappa:  # margin sqrt(kappa^2 - r^2) is 0
+            ids = " ".join(str(p.id) for p in cs.members)
+            print(f"warning: ball {k} has radius {cs.ball.radius!r} >= kappa, so it "
+                  f"separates nothing: its core points, at stream positions {ids}, "
+                  "contradict each other", file=sys.stderr)
     return 0
 
 

@@ -2,6 +2,13 @@
 
 Provides a sparse LIBSVM-format text parser, a seeded synthetic generator
 for linearly separable data, and reproducible stream shuffling.
+
+The parser reads ``CHUNK_CHARS`` (about 128 KB) of text at a time.  A chunk
+of canonical lines (ASCII ``<label> <index>:<value> ...``, single spaces, no
+comment, tab or blank line) is read by one ``np.fromstring`` call; any other
+chunk, and any with an error, goes line by line, which gives the same rows
+and names the line of the first error.  A chunk's transient copies peak at
+about 0.4 MB, three times its text.
 """
 
 from __future__ import annotations
@@ -9,7 +16,7 @@ from __future__ import annotations
 import gzip
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +33,7 @@ __all__ = [
 ]
 
 GZIP_SUFFIX = ".gz"
+CHUNK_CHARS = 1 << 17  # text parsed as one block: about 128 KB
 _vdot = np.vdot.__wrapped__  # v.dot's bits, no overflow warning, no dispatch cost
 
 
@@ -86,13 +94,91 @@ def parse_libsvm(lines: Iterable[str] | str) -> Dataset:
     Labels +1/1 map to +1; -1 and 0 map to -1.  Indices are 1-based and must
     be strictly increasing within a line, and values must be finite.  ``#``
     starts a comment that runs to the end of the line; blank lines are
-    skipped.
+    skipped.  Chunks of lines are read as blocks (see the module docstring);
+    only lines with their endings, as a file yields them, can take that path.
     """
     if isinstance(lines, str):
-        lines = lines.splitlines()
+        lines = lines.splitlines(keepends=True)
     examples: list[TrainingExample] = []
-    dim = 0
-    for lineno, raw in enumerate(lines, 1):
+    first = 1
+    for chunk in _chunks(lines):
+        examples += _parse_block(chunk) or _parse_lines(chunk, first)
+        first += len(chunk)
+    dim = max((int(ex.x.indices[-1]) for ex in examples), default=0)
+    return Dataset(examples, dim)
+
+
+def _chunks(lines: Iterable[str]) -> Iterator[list[str]]:
+    """``lines`` in runs of ``CHUNK_CHARS`` or more characters; the last may be less."""
+    chunk, size = [], 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line)
+        if size >= CHUNK_CHARS:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
+def _parse_block(lines: list[str]) -> list[TrainingExample] | None:
+    """The rows of ``lines`` read as one block, or None for the line parser.
+
+    Taken are ASCII lines ``<label>( <index>:<value>)+``, single-spaced, with
+    only digits and signs in an index and ``0-9+-.eE`` in a word.  No word
+    then holds whitespace, and ``np.fromstring`` raises on a word it cannot
+    read whole, so at the right count each word is one number, with the bits
+    ``float`` gives it.
+    """
+    raw = "".join(lines).encode("ascii", "replace")  # a "?" fails the checks
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    signs = raw.translate(None, b"0123456789+-")
+    marks = signs.translate(None, b".eE")
+    n, features = len(lines), marks.count(b":")
+    if (
+        marks.replace(b" :", b"") != b"\n" * n  # each line " :" * k + "\n"
+        or marks.count(b":\n") != n  # with k > 0
+        or signs.count(b" :") != features  # an index is digits and signs
+    ):
+        return None
+    try:
+        numbers = np.fromstring(raw.replace(b":", b" "), sep=" ")
+    except ValueError:
+        return None
+    # Free the text before the rows are built: kept to the end, it raised the
+    # peak RSS of the ingest benchmark from 81 to 92 MB.
+    del raw, signs
+    if numbers.size != n + 2 * features:
+        return None
+    # Line r is 2 k_r marks and "\n": its newline's offset less r is twice
+    # the features of lines 0..r.
+    stops = (np.flatnonzero(np.frombuffer(marks, np.uint8) == 10) - np.arange(n)) // 2
+    starts = np.concatenate(([0], stops[:-1]))
+    heads = np.arange(n) + 2 * starts  # each line's label
+    labels, pairs = numbers[heads], np.delete(numbers, heads)
+    index, values = pairs[0::2], pairs[1::2].copy()
+    step = np.diff(index, prepend=0.0)
+    step[starts] = index[starts]
+    if not (
+        (step > 0.0).all()
+        and index.max() < 2.0**53  # so every index is exact
+        and np.isfinite(values).all()
+        and np.isin(labels, (1.0, -1.0, 0.0)).all()
+    ):
+        return None
+    index = index.astype(np.int64)
+    ys = np.where(labels == 1.0, 1, -1).tolist()
+    return [
+        TrainingExample(SparseVector(index[a:b], values[a:b]), y)
+        for a, b, y in zip(starts.tolist(), stops.tolist(), ys)
+    ]
+
+
+def _parse_lines(lines: Iterable[str], first: int) -> list[TrainingExample]:
+    """The rows of ``lines``, numbered from ``first``, parsed one at a time."""
+    examples: list[TrainingExample] = []
+    for lineno, raw in enumerate(lines, first):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -128,13 +214,12 @@ def parse_libsvm(lines: Iterable[str] | str) -> Dataset:
                 raise DataFormatError(
                     f"line {lineno}: non-finite value {bad[0].partition(':')[2]!r}"
                 )
-        dim = max(dim, idxs[-1])
         examples.append(
             TrainingExample(
                 SparseVector(np.array(idxs, dtype=np.int64), np.array(vals)), label
             )
         )
-    return Dataset(examples, dim)
+    return examples
 
 
 def format_libsvm(dataset: Dataset) -> str:

@@ -24,7 +24,8 @@ bare id in later balls, which load it as the same shared point.  Every
 float round-trips exactly, so a reloaded model predicts identically and
 continues the stream as the saved model would: ``points_seen`` numbers the
 next training point and exceeds every member id, each slack id is a member
-of its ball, and points pending in the lookahead buffer refuse the save.
+of its ball, listed once, and points pending in the lookahead buffer refuse
+the save.
 Versions 1 and 2 write every member in full; version 1 lacks the delta,
 lookahead and points_seen records (epsilon/2, 10, largest member id + 1).
 """
@@ -162,6 +163,8 @@ def load_model(path) -> Model:
             if len(parts) != 2:
                 raise reader.error("slack coefficient needs an id and a value")
             pid = reader.number(parts[0], "slack id", int)
+            if pid in coeffs:
+                raise reader.error(f"slack id {pid} repeats")
             coeffs[pid] = reader.number(parts[1], "slack coefficient")
             slack_lines.append((reader.pos, pid))
         members = []

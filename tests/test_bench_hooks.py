@@ -1,12 +1,14 @@
 """The frozen benchmark's hooks into the library, checked with the library's tests.
 
 ``bench/test_bench.py`` lies outside the test paths, so a library change
-that broke the bench tracer's patch points or its reload check would still
-pass ``pytest``.  These tests import the bench's own code and run it, and
-use its cover digest to check that a reloaded model resumes training as
-the saved one does.
+that broke the bench tracer's patch points, its reload check or its parse
+check would still pass ``pytest``.  These tests import the bench's own code
+and run it, check that its generated files parse to their digests, and use
+its cover digest to check that a reloaded model resumes training as the
+saved one does.
 """
 
+import gzip
 import importlib.util
 import math
 from pathlib import Path
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbsvm.data import generate_synthetic
+from bbsvm.data import generate_synthetic, load_libsvm
 from bbsvm.model import Model, ModelParams
 from bbsvm.model_file import load_model, save_model
 
@@ -27,6 +29,22 @@ _spec.loader.exec_module(bench_tests)
 
 def test_bench_tracer_restores_the_originals_and_nests_spans(tmp_path):
     bench_tests.test_tracer_restores_the_originals_and_nests_spans(tmp_path)
+
+
+def test_bench_generated_rows_parse_back_exactly(tmp_path):
+    bench_tests.test_generated_rows_parse_back_exactly(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["solve", "soft-l0"])
+def test_bench_inputs_parse_to_their_digests_plain_and_gzipped(tmp_path, name):
+    w = bench_tests.small(name)
+    digests = bench_tests.generate(w, 3, tmp_path)
+    train, query = bench_tests.files(w, tmp_path)
+    for path, digest in zip([*train, query], digests):
+        zipped = path.with_name(path.name + ".gz")
+        zipped.write_bytes(gzip.compress(path.read_bytes()))
+        for copy in (path, zipped):
+            assert bench_tests.worker.dataset_digest(load_libsvm(copy)) == digest
 
 
 @pytest.mark.parametrize("C", [10.0, math.inf])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bbsvm.cli import run_cli
-from bbsvm.data import generate_synthetic, load_libsvm
+from bbsvm.data import format_libsvm, generate_synthetic, load_libsvm
 from bbsvm.experiments import CSV_HEADER
 from bbsvm.model import Model, ModelParams, feature_map
 from bbsvm.model_file import ModelFormatError, load_model, save_model
@@ -48,6 +48,23 @@ def test_train_then_predict(dataset_file, model_file, capsys):
     assert len(lines) == 100
     assert set(lines) <= {"+1", "-1"}
     assert "accuracy" in captured.err
+
+
+@pytest.mark.parametrize("L", ["0", "10"])
+def test_train_warns_of_a_ball_that_separates_nothing(tmp_path, capsys, L):
+    # One point with both labels gives a zero-center ball of radius exactly
+    # kappa; it holds every later point, so no merge ever replaces it.
+    text = format_libsvm(generate_synthetic(2000, 5, 0.1, 0.0, seed=3))
+    x = text.split("\n", 1)[0].split(" ", 1)[1]
+    data, model = tmp_path / "d.txt", str(tmp_path / "m.bbsvm")
+    data.write_text(text)
+    assert run_cli(["train", "--data", str(data), "--L", L, "--model", model]) == 0
+    assert capsys.readouterr().err == ""
+    data.write_text(f"+1 {x}\n-1 {x}\n" + text)
+    assert run_cli(["train", "--data", str(data), "--L", L, "--model", model]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"warning: ball 0 has radius {math.sqrt(2.0)!r} >= kappa")
+    assert sorted(err.split("stream positions ")[1].split(",")[0].split()) == ["0", "1"]
 
 
 def test_predict_to_file(tmp_path, dataset_file, model_file):
@@ -228,10 +245,10 @@ def test_save_model_refuses_pending_lookahead_points(tmp_path):
 
 
 def _line_index(lines, where):
-    """Index of the first record ``where``, or of the first slack entry,
-    full member row or reference line."""
-    if where == "slack entry":
-        return 1 + next(
+    """Index of the first record ``where``, or of the first (or second) slack
+    entry, full member row or reference line."""
+    if where in ("slack entry", "second slack entry"):
+        return (where == "second slack entry") + 1 + next(
             i for i, line in enumerate(lines)
             if line.startswith("slack ") and line != "slack 0"
         )
@@ -263,6 +280,8 @@ def _line_index(lines, where):
         # The first ball's core is 0, 1, 2, 3, 5, 9, and points_seen is 100.
         ("slack entry", "4 0.5", "slack id 4 is no core member"),
         ("slack entry", "100 0.5", "slack id 100 is no core member"),
+        # The first entry's id is 0; a repeat would replace its coefficient.
+        ("second slack entry", "0 123.0", "slack id 0 repeats"),
         ("core", "core", "bad core ''"),
         ("member", "1 2 3", "core member has the wrong field count"),
         ("member", "a +1 0 0 0 0 0 1 0.3", "bad member id 'a'"),

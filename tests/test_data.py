@@ -1,9 +1,14 @@
 import gzip
+import io
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bbsvm import data
 from bbsvm.data import (
     DataFormatError,
     format_libsvm,
@@ -119,6 +124,107 @@ def test_load_libsvm_gzip(tmp_path):
     a, b = load_libsvm(plain), load_libsvm(zipped)
     assert len(a) == len(b) == 2
     assert format_libsvm(a) == format_libsvm(b)
+
+
+# ------------------------------------------------------- block and line parser
+
+
+def _outcome(parse):
+    """The dim and every row's label, dtypes and bytes, or the error message."""
+    try:
+        ds = parse()
+    except DataFormatError as err:
+        return str(err)
+    rows = [
+        (ex.y, ex.x.indices.dtype.str, ex.x.indices.tobytes(),
+         ex.x.values.dtype.str, ex.x.values.tobytes())
+        for ex in ds.examples
+    ]
+    return ds.dim, rows
+
+
+def _line_parser(lines):
+    """The reference: the line parser alone, over every line."""
+
+    def parse():
+        rows = data._parse_lines(lines, 1)
+        return data.Dataset(rows, max((int(r.x.indices[-1]) for r in rows), default=0))
+
+    return parse
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_VALUES = st.one_of(_FLOATS, _FLOATS, _FLOATS, st.sampled_from(
+    ["-0", "1E5", ".5", "5.", "+2", "1e999", "-1e999", "nan(1)", "nan", "inf",
+     "1_0", "٣", "0x1", "1-2", "1\t2", "\t", ""]
+))
+_LABELS = ["+1", "-1", "1", "0"] * 4 + ["-0", "1.0", "+0", "1e0", "١", "3", "x", ""]
+_ODD_TOKENS = ["3.0:1", "+3:1", "1:2:3", "1:2 3", "3:", ":4", "+-3:1", "١:2", "1e1:1"]
+_SEPARATORS = [" "] * 8 + ["\t", "  ", "\x0c"]
+_ENDS = ["\n"] * 8 + ["\r\n", " # note\n", "\t\n", "\r", "\x0b"]
+
+
+@st.composite
+def _line(draw):
+    """A line, most often canonical, else with one or more odd parts."""
+    indices = sorted(draw(st.sets(st.integers(1, 40), max_size=4)))
+    tokens = [f"{i}:{draw(_VALUES)}" for i in indices]
+    if draw(st.integers(0, 3)) == 0:
+        odd = draw(st.sampled_from(_ODD_TOKENS))
+        tokens.insert(draw(st.integers(0, len(tokens))), odd)
+    line = draw(st.sampled_from(_LABELS))
+    for token in tokens:
+        line += draw(st.sampled_from(_SEPARATORS)) + token
+    return line + draw(st.sampled_from(_ENDS))
+
+
+_TEXT = st.lists(
+    st.one_of(_line(), _line(), _line(), st.sampled_from(["\n", "# c\n", "  \n"])),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXT, chunk=st.integers(1, 400), final_newline=st.booleans())
+# An empty word ("3:") and a word with whitespace in it ("3\t4") must not
+# cancel out in the count of numbers.
+@example(text="+1 3:\n", chunk=1, final_newline=True)
+@example(text="+1 1:\t 2:3\t4\n", chunk=1, final_newline=True)
+@example(text="+1 9007199254740993:1\n", chunk=1, final_newline=True)  # 2**53 + 1
+def test_the_chunked_parser_equals_the_line_parser(text, chunk, final_newline):
+    if not final_newline:
+        text = text.rstrip("\n")
+    with patch.object(data, "CHUNK_CHARS", chunk):
+        got = _outcome(lambda: parse_libsvm(text))
+        assert got == _outcome(_line_parser(text.splitlines()))
+        # A text file yields lines split at "\n" only, line endings kept.
+        assert _outcome(lambda: parse_libsvm(io.StringIO(text))) == _outcome(
+            _line_parser(io.StringIO(text))
+        )
+
+
+def test_canonical_lines_take_the_block_path():
+    text = format_libsvm(generate_synthetic(30, 4, 0.1, 0.0, seed=3))
+    lines = text.splitlines(keepends=True)
+    rows = data._parse_block(lines)
+    assert _outcome(lambda: data.Dataset(rows, 4)) == _outcome(_line_parser(lines))
+    # The last line may lack its newline; a line with a comment may not.
+    assert data._parse_block(["+1 1:2 3:0.5"]) is not None
+    assert data._parse_block(["+1 1:2 3:0.5 # c\n"]) is None
+
+
+def test_an_error_on_the_first_line_of_a_later_chunk_names_its_file_line(tmp_path):
+    lines = format_libsvm(generate_synthetic(40, 3, 0.1, 0.0, seed=1)).splitlines(True)
+    path = tmp_path / "d.txt.gz"
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        fh.write("".join(lines[:20]) + "+1 2:1 1:1\n" + "".join(lines[20:]))
+    assert data._parse_block(lines[:20]) is not None
+    message = (
+        r"^line 21: feature indices must be strictly increasing \(got 1 after 2\)$"
+    )
+    with patch.object(data, "CHUNK_CHARS", sum(map(len, lines[:20]))):
+        with pytest.raises(DataFormatError, match=message):
+            load_libsvm(path)
 
 
 # ------------------------------------------------------------------- generator
