@@ -208,6 +208,10 @@ def _parse_lines(lines: Iterable[str], first: int) -> list[TrainingExample]:
             vals.append(val)
         if not idxs:
             raise DataFormatError(f"line {lineno}: no features")
+        if idxs[-1] >= 2**63:  # the largest, as indices increase
+            raise DataFormatError(
+                f"line {lineno}: feature index {idxs[-1]} does not fit in int64"
+            )
         if not math.isfinite(sum(vals)):  # NaN and inf propagate; cheap per line
             bad = [t for t, v in zip(tokens[1:], vals) if not math.isfinite(v)]
             if bad:  # else the sum of finite values overflowed

@@ -7,8 +7,9 @@ component is a sparse map from point id to coefficient.  All slack axes are
 mutually orthogonal and orthogonal to the explicit block, which keeps every
 inner product computable without ever building the full-dimensional space.
 
-``approx_meb`` runs Badoiu-Clarkson on integer pick counts (the center is
-the mean of the points picked so far); ties go to the lowest point id.
+``approx_meb`` is the core-set method of Kumar, Mitchell and Yildirim: add
+the farthest input, then solve the MEB dual exactly on the points added so
+far, here by a primal active-set method; ties go to the lowest point id.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ __all__ = [
     "CoreSet",
     "approx_meb",
 ]
-
-# Above this input size the solver recomputes a step row on every pick
-# instead of caching one row per distinct pick (memory cap).
-_GRAM_LIMIT = 2048
-
 
 @dataclass(eq=False)
 class AugPoint:
@@ -79,26 +75,34 @@ class CoreSet:
 
 
 def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]:
-    """Badoiu-Clarkson core-set iteration with a duality-gap early exit.
+    """Core-set MEB by a primal active-set method, with a duality-gap stop.
 
-    Starting from the first input point, the center repeatedly moves a
-    1/(i+1) step toward the farthest input, so after n picks it is the mean
-    ``P/n`` of the picks (with repetition).  The loop keeps
-    ``h_k = n|p_k|^2 - 2<P, p_k>``, whose argmax is the farthest input,
-    ``T = |P|^2`` and the sum ``M`` of the picked squared norms; a step adds
-    one cached row ``|p|^2 - 2 K[j, :]`` to ``h``.  Ties for the farthest
-    point go to the lowest id.
+    The dual is ``max q.a - a.K.a`` over the simplex, with ``K`` the Gram
+    matrix of the inputs and ``q`` its diagonal; the center is ``sum a_i
+    p_i``.  Starting from the first input point, each step adds the
+    farthest input to the active set ``A`` and solves the bordered KKT
+    system ``[[0, 1'], [1, 2 K_AA]]`` for the weights that put every active
+    point at one distance from the center.  When a weight would turn
+    non-positive, a ratio test stops on the segment from the old weights
+    and drops that point.  The inverse of the bordered matrix is kept up to
+    date by Schur complements, and only the active points' Gram rows are
+    kept, so a step costs O(|A|^2 + |A| m) and one new Gram row.  Ties
+    for the farthest point go to the lowest id.  ``K_AA`` carries a ridge
+    ``lam`` on its diagonal, which is the same as giving every point a
+    private axis of length ``sqrt(lam)``, so every active set is affinely
+    independent; at ``lam = 1e-3 * delta * dmax0^2 / 4`` (``dmax0`` the
+    first farthest distance) the farthest input is already active only
+    once the certificate holds.
 
     The loop stops as soon as the farthest distance is within (1+delta) of
     a certified lower bound on the optimal radius, or after ceil(1/delta^2)
-    steps; the classical analysis guarantees the returned radius is at most
-    (1+delta) times optimal either way.  The lower bound combines half the
-    first farthest-pair distance with the weak-duality value
-    ``M/n - T/n^2`` of the convex weights ``counts/n``.
+    steps.  The lower bound combines half the first farthest-pair distance
+    with the weak-duality value ``q.a - a.K.a = sum a_i d_i^2`` of the
+    current weights, ``d_i`` the distance of input ``i`` from the center.
 
     Returns the ball (radius = exact max distance from the final center to
-    any input, so containment holds by construction) and the core set of
-    points selected along the way, in selection order.
+    any input, so containment holds by construction) and the core set: the
+    active points, in order of entry, each with a positive weight.
     """
     m = len(points)
     if m == 0:
@@ -106,76 +110,94 @@ def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]
     if delta <= 0.0:
         raise ValueError("delta must be positive")
 
-    E = np.stack([np.asarray(p.explicit, dtype=float) for p in points])
-    sw = np.array([p.slack_weight for p in points], dtype=float)
-    ids = np.array([p.id for p in points], dtype=np.int64)
+    # In id order np.argmax's first maximal index is the lowest id.
+    order = np.argsort([p.id for p in points], kind="stable")
+    E = np.stack([np.asarray(points[k].explicit, dtype=float) for k in order])
+    sw = np.array([points[k].slack_weight for k in order], dtype=float)
+    sw2 = sw * sw
+    q = np.einsum("ij,ij->i", E, E) + sw2
+    E2 = 2.0 * E
 
-    en2 = np.einsum("ij,ij->i", E, E)
-    pn2 = en2 + sw * sw
+    def gram_row(j: int) -> np.ndarray:
+        # 2 K[j, :].  Slack axes meet only on the diagonal, which is set to
+        # exactly 2|p_j|^2.  einsum sums like q above, so a lone point and
+        # coincident points reach dmax^2 = 0 bitwise and stop at once.
+        row = np.einsum("ij,j->i", E, E2[j])
+        row[j] = 2.0 * q[j]
+        return row
 
     cap = math.ceil(1.0 / (delta * delta))
     threshold = (1.0 + delta) ** 2
 
-    # In id order np.argmax's first maximal index is the lowest id.
-    order = np.argsort(ids, kind="stable")
-    Es = E[order]
-    sn2 = pn2[order]
-    sn2_list = sn2.tolist()
-    j = int(order.argmin())  # where input 0 sits in id order
-    hj = 0.0
-
-    rows: dict[int, np.ndarray] = {}
-    h = np.zeros(m)
-    counts = [0] * m
-    selected: list[int] = []
-    n = 0
-    T = 0.0  # |P|^2
-    M = 0.0  # sum of |p|^2 over the picks
+    act = order.argmin(keepdims=True)  # where input 0 sits in id order
+    alpha = np.ones(1)
+    # Row 0 is the border of the KKT matrix, row 1 + i the active point i's
+    # Gram row times 2, so column j holds the border entries of input j.
+    rows = np.ones((5, m))
+    rows[1] = gram_row(act[0])
+    H = None  # inverse of the bordered KKT matrix of the active set
     lower2 = 0.0
+    steps = 0
     while True:
-        row = rows.get(j)
-        if row is None:
-            # Slack axes meet only on the diagonal, which is set to exactly
-            # -|p_j|^2.  einsum sums like en2 above, so a lone point and
-            # coincident points reach dmax^2 = 0 bitwise and stop at once
-            # instead of running to the cap.
-            row = sn2 - 2.0 * np.einsum("ij,j->i", Es, Es[j])
-            row[j] = -sn2_list[j]
-            if m <= _GRAM_LIMIT:
-                rows[j] = row
-        if counts[j] == 0:
-            selected.append(j)
-        counts[j] += 1
-        pj = sn2_list[j]
-        T += (n * pj - hj) + pj
-        M += pj
-        h += row
-        n += 1
-        if n > cap:
-            break
+        g = alpha @ rows[1 : len(act) + 1]  # 2 K a
+        c2 = 0.5 * float(alpha @ g[act])  # |c|^2
+        h = q - g  # d_i^2 - |c|^2
         j = int(h.argmax())
-        hj = float(h[j])
-        n2 = n * n
-        dmax2 = max(hj / n + T / n2, 0.0)
-        if n == 1:
+        dmax2 = max(float(h[j]) + c2, 0.0)
+        if H is None:
             # The start center is an input point, so dmax is a pairwise
             # distance and half of it lower-bounds the optimal radius.
             lower2 = 0.25 * dmax2
-        lower2 = max(lower2, M / n - T / n2)
-        if dmax2 <= threshold * lower2:
+            lam = 1e-3 * delta * lower2
+            H = np.array([[-2.0 * (q[act[0]] + lam), 1.0], [1.0, 0.0]])
+        lower2 = max(lower2, float(alpha @ q[act]) - c2)
+        if dmax2 <= threshold * lower2 or steps == cap:
             break
+        steps += 1
 
-    # Reconstruct the center exactly from the weights and measure the true
-    # max distance; any drift in the incremental quantities drops out here.
-    alpha = np.empty(m)
-    alpha[order] = np.array(counts, dtype=float) / n
-    ce = alpha @ E
+        # Border the system with j: H gains s * w w' with w = [H v; -1].
+        n = len(act)
+        if n + 1 == len(rows):
+            rows = np.concatenate((rows, np.empty_like(rows[1:])))
+        rows[n + 1] = gram_row(j)
+        v = rows[: n + 1, j]
+        w = np.append(H @ v, -1.0)
+        s = 1.0 / (2.0 * (q[j] + lam) - float(v @ w[:-1]))
+        grown = np.zeros((n + 2, n + 2))
+        grown[:-1, :-1] = H
+        grown += np.outer(s * w, w)
+        H = grown
+        act = np.append(act, j)
+        if n == 1:
+            # The MEB of two points is their midpoint.  Exact halves give a
+            # pair p, -p (a contradicting hard-margin pair) the zero center.
+            alpha = np.array([0.5, 0.5])
+            continue
+        alpha = np.append(alpha, 0.0)
+        while True:
+            target = H[1:, 0] + H[1:, 1:] @ q[act]
+            out = np.flatnonzero(target <= 0.0)
+            if out.size == 0:
+                alpha = target
+                break
+            ratios = alpha[out] / (alpha[out] - target[out])
+            k = int(out[ratios.argmin()])
+            alpha = np.delete(alpha + float(ratios.min()) * (target - alpha), k)
+            col = H[:, k + 1]
+            H = H - np.outer(col, col / col[k + 1])
+            H = np.delete(np.delete(H, k + 1, 0), k + 1, 1)
+            rows[k + 1 : len(act)] = rows[k + 2 : len(act) + 1]
+            act = np.delete(act, k)
+
+    # Reconstruct the center from the weights and measure the exact max
+    # distance; any drift in the Gram-form distances drops out here.
+    a = alpha / alpha.sum()
+    cs = a * sw[act]
+    ce = a @ E[act]
     diff = E - ce
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    cs = alpha * sw
-    d2 = d2 + float(cs @ cs) - cs * cs + (cs - sw) ** 2
-    coeffs = {int(ids[k]): float(cs[k]) for k in np.flatnonzero(cs != 0.0)}
-    radius = math.sqrt(max(float(d2.max()), 0.0))
-    ball = Ball(Center(ce, coeffs), radius)
-    core = CoreSet([points[int(order[k])] for k in selected], ball)
-    return ball, core
+    d2 = np.einsum("ij,ij->i", diff, diff) + (float(cs @ cs) + sw2)
+    d2[act] -= 2.0 * cs * sw[act]
+    members = [points[k] for k in order[act]]
+    coeffs = {p.id: float(c) for p, c in zip(members, cs) if c != 0.0}
+    ball = Ball(Center(ce, coeffs), math.sqrt(max(float(d2.max()), 0.0)))
+    return ball, CoreSet(members, ball)

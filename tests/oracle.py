@@ -4,10 +4,9 @@ The library computes distances, escape tests and scores in vectorized form
 only (``BlurredBallCover.escapes``, ``Model.predict``).  This module keeps
 the plain one-point, one-ball versions of the same formulas, written from
 the definitions of the augmented space, the all-points-by-all-balls escape
-test whose decisions ``escapes`` must repeat bit for bit, an exact minimum
-enclosing ball for dimension <= 3 to measure ``approx_meb`` against, and
-the rescaling Badoiu-Clarkson loop that ``approx_meb`` must walk step for
-step.  It also holds the small views the tests read and the library does
+test whose decisions ``escapes`` must repeat bit for bit, and an exact
+minimum enclosing ball for dimension <= 3 to measure ``approx_meb``
+against.  It also holds the small views the tests read and the library does
 not: a dense copy of a sparse vector, a point's squared norm and a cover's
 list of balls.
 """
@@ -22,7 +21,7 @@ import numpy as np
 
 from bbsvm.cover import BlurredBallCover
 from bbsvm.data import SparseVector
-from bbsvm.meb import AugPoint, Ball, Center, CoreSet
+from bbsvm.meb import AugPoint, Ball, Center
 
 
 def to_dense(x: SparseVector, dim: int) -> np.ndarray:
@@ -223,139 +222,3 @@ def exact_meb_small(points) -> tuple[np.ndarray, float]:
     if best_center is None:  # unreachable for nondegenerate inputs
         raise RuntimeError("no enclosing candidate found")
     return best_center, math.sqrt(best_r2)
-
-
-# Input size above which the reference stops caching its Gram matrix.
-_GRAM_LIMIT = 2048
-
-
-def _farthest(d2: np.ndarray, ids: np.ndarray) -> int:
-    """Index of the max entry; ties broken toward the lowest id."""
-    j = int(np.argmax(d2))
-    ties = np.flatnonzero(d2 == d2[j])
-    if ties.size > 1:
-        j = int(ties[np.argmin(ids[ties])])
-    return j
-
-
-def reference_badoiu_clarkson(
-    points: Sequence[AugPoint], delta: float
-) -> tuple[Ball, CoreSet]:
-    """Badoiu-Clarkson core-set iteration with a duality-gap early exit.
-
-    The same iteration in its rescaling form: every maintained vector is
-    rescaled on each 1/(i+1) step.  ``approx_meb`` must pick the same points.
-
-    Starting from the first input point, the center repeatedly moves a
-    1/(i+1) step toward the farthest input.  The loop stops as soon as the
-    farthest distance is within (1+delta) of a certified lower bound on the
-    optimal radius, or after ceil(1/delta^2) steps; the classical analysis
-    guarantees the returned radius is at most (1+delta) times optimal either
-    way.  The lower bound combines half the first farthest-pair distance
-    with the weak-duality value ``sum_i a_i |p_i|^2 - |c|^2`` of the
-    maintained convex weights ``a``.
-
-    Returns the ball (radius = exact max distance from the final center to
-    any input, so containment holds by construction) and the core set of
-    points selected along the way, in selection order.
-
-    Slack bookkeeping runs only when some input has a nonzero slack weight;
-    with all slack weights zero it would add zeros and cost time.
-    """
-    m = len(points)
-    if m == 0:
-        raise ValueError("approx_meb requires at least one point")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-
-    E = np.stack([np.asarray(p.explicit, dtype=float) for p in points])
-    sw = np.array([p.slack_weight for p in points], dtype=float)
-    ids = np.array([p.id for p in points], dtype=np.int64)
-    has_slack = bool(np.any(sw != 0.0))
-
-    en2 = np.einsum("ij,ij->i", E, E)
-    sw2 = sw * sw
-    pn2 = en2 + sw2 if has_slack else en2
-
-    cap = math.ceil(1.0 / (delta * delta))
-    threshold = (1.0 + delta) ** 2
-
-    alpha = np.zeros(m)
-    alpha[0] = 1.0
-    selected = [0]
-    is_member = np.zeros(m, dtype=bool)
-    is_member[0] = True
-
-    # A cached Gram matrix turns each iteration from O(m * dim) into O(m),
-    # but costs O(m^2 * dim) to build; only worth it when the loop is long.
-    gram = m <= _GRAM_LIMIT and min(cap, int(3.0 / delta) + 1) > m
-    if gram:
-        G = E @ E.T
-        # q[j] = <center, p_j>, maintained incrementally.
-        q = G[0].copy()
-        if has_slack:
-            q[0] += sw2[0]
-        c2 = float(pn2[0])
-        m2 = float(pn2[0])
-    else:
-        ce = E[0].copy()
-
-    lower2 = 0.0
-    for i in range(1, cap + 1):
-        if not gram:
-            q = E @ ce
-            c2 = float(ce @ ce)
-            if has_slack:
-                q = q + alpha * sw2
-                cs = alpha * sw
-                c2 += float(cs @ cs)
-            m2 = float(alpha @ pn2)
-        d2 = c2 + pn2 - 2.0 * q
-        j = _farthest(d2, ids)
-        dmax2 = max(float(d2[j]), 0.0)
-        if i == 1:
-            # The start center is an input point, so dmax is a pairwise
-            # distance and half of it lower-bounds the optimal radius.
-            lower2 = max(lower2, 0.25 * dmax2)
-        lower2 = max(lower2, m2 - c2)
-        if dmax2 <= threshold * lower2:
-            break
-        gamma = 1.0 / (i + 1.0)
-        if gram:
-            if has_slack and sw2[j] != 0.0:
-                kcol = G[j].copy()
-                kcol[j] += sw2[j]
-            else:
-                kcol = G[j]
-            c2 = (
-                (1.0 - gamma) ** 2 * c2
-                + 2.0 * gamma * (1.0 - gamma) * float(q[j])
-                + gamma * gamma * float(pn2[j])
-            )
-            q = (1.0 - gamma) * q + gamma * kcol
-            m2 = (1.0 - gamma) * m2 + gamma * float(pn2[j])
-        else:
-            ce = (1.0 - gamma) * ce + gamma * E[j]
-        alpha *= 1.0 - gamma
-        alpha[j] += gamma
-        if not is_member[j]:
-            is_member[j] = True
-            selected.append(j)
-
-    # Reconstruct the center exactly from the weights and measure the true
-    # max distance; any drift in the incremental quantities drops out here.
-    ce = alpha @ E
-    diff = E - ce
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    if has_slack:
-        cs = alpha * sw
-        d2 = d2 + float(cs @ cs) - cs * cs + (cs - sw) ** 2
-        coeffs = {
-            int(ids[k]): float(cs[k]) for k in np.flatnonzero(cs != 0.0)
-        }
-    else:
-        coeffs = {}
-    radius = math.sqrt(max(float(d2.max()), 0.0))
-    ball = Ball(Center(ce, coeffs), radius)
-    core = CoreSet([points[k] for k in selected], ball)
-    return ball, core

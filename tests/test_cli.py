@@ -98,6 +98,10 @@ def test_data_errors_exit_2(tmp_path):
     assert run_cli(
         ["train", "--data", str(bad), "--model", str(tmp_path / "m.bbsvm")]
     ) == 2
+    bad.write_text("+1 9223372036854775808:1\n")  # an index beyond int64
+    assert run_cli(
+        ["train", "--data", str(bad), "--model", str(tmp_path / "m.bbsvm")]
+    ) == 2
 
 
 def assert_same_cover(model, reference):
@@ -147,16 +151,47 @@ V2_MODEL = FIXTURES / "v2_model.bbsvm"
 V2_PARAMS = ModelParams(dim=3, epsilon=0.02, C=10.0, lookahead=5)
 
 
-def test_model_file_version_2_fixture_loads_like_a_fresh_training():
-    assert V2_MODEL.read_text().startswith("BBSVM 2\n")
+def _fixture_balls(lines):
+    """Radius, center, slack items and member rows of each ball, read from
+    the text of a ``BBSVM 2`` file, where every member is a full row."""
+    balls, i = [], lines.index("balls 5") + 1
+    while i < len(lines):
+        radius, center = float(lines[i].split()[1]), lines[i + 1].split()[1:]
+        n_slack = int(lines[i + 2].split()[1])
+        slack = [line.split() for line in lines[i + 3 : i + 3 + n_slack]]
+        i += 3 + n_slack
+        n_core = int(lines[i].split()[1])
+        rows = [line.split() for line in lines[i + 1 : i + 1 + n_core]]
+        i += 1 + n_core
+        balls.append((
+            radius,
+            [float(t) for t in center],
+            [(int(pid), float(c)) for pid, c in slack],
+            [(int(r[0]), int(r[1]), [float(t) for t in r[2:-1]], float(r[-1]))
+             for r in rows],
+        ))
+    return balls
+
+
+def test_model_file_version_2_fixture_loads_its_records():
+    lines = V2_MODEL.read_text().splitlines()
+    assert lines[0] == "BBSVM 2" and "points_seen 40" in lines
+    model = load_model(V2_MODEL)
+    assert model.params == V2_PARAMS and model.cover.points_seen == 40
+    assert [
+        (
+            cs.ball.radius,
+            cs.ball.center.explicit.tolist(),
+            list(cs.ball.center.slack_coeffs.items()),
+            [(p.id, p.label, p.explicit.tolist(), p.slack_weight) for p in cs.members],
+        )
+        for cs in model.cover.cores
+    ] == _fixture_balls(lines)
+    assert any(cs.ball.center.slack_coeffs for cs in model.cover.cores)
+    # The fixture's cover labels every row of its training file correctly.
     ds = load_libsvm(FIXTURES / "v2_train.txt")
-    old = load_model(V2_MODEL)
-    fresh = Model(V2_PARAMS).train_stream(ds.examples)
-    assert old.params == V2_PARAMS
-    assert any(cs.ball.center.slack_coeffs for cs in old.cover.cores)
-    assert_same_cover(old, fresh)
-    xs = [ex.x for ex in ds.examples]
-    assert np.array_equal(old.predict(xs), fresh.predict(xs))
+    labels = model.predict([ex.x for ex in ds.examples])
+    assert labels.tolist() == [ex.y for ex in ds.examples]
 
 
 def test_model_file_rejects_other_versions(tmp_path, model_file):
@@ -277,11 +312,12 @@ def _line_index(lines, where):
         ("slack entry", "x 0.5", "bad slack id 'x'"),
         ("slack entry", "3 y", "bad slack coefficient 'y'"),
         ("slack entry", "3", "slack coefficient needs an id and a value"),
-        # The first ball's core is 0, 1, 2, 3, 5, 9, and points_seen is 100.
+        # The first ball's core is 1, 2, 3, 5, 9, and points_seen is 100.
         ("slack entry", "4 0.5", "slack id 4 is no core member"),
         ("slack entry", "100 0.5", "slack id 100 is no core member"),
-        # The first entry's id is 0; a repeat would replace its coefficient.
-        ("second slack entry", "0 123.0", "slack id 0 repeats"),
+        # {first} is the first entry's id; a repeat would replace its
+        # coefficient.
+        ("second slack entry", "{first} 123.0", "slack id {first} repeats"),
         ("core", "core", "bad core ''"),
         ("member", "1 2 3", "core member has the wrong field count"),
         ("member", "a +1 0 0 0 0 0 1 0.3", "bad member id 'a'"),
@@ -300,7 +336,9 @@ def test_model_file_names_a_bad_record_and_its_line(
     save_model(model, tmp_path / "m.bbsvm")
     lines = (tmp_path / "m.bbsvm").read_text().splitlines()
     index = _line_index(lines, where)
-    lines[index] = edit
+    first = lines[index - 1].split()[0]  # a slack entry's line: the id before it
+    lines[index] = edit.format(first=first)
+    message = message.format(first=first)
     bad = tmp_path / "bad.bbsvm"
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(ModelFormatError) as err:

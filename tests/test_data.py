@@ -59,6 +59,14 @@ def test_parse_errors_carry_line_numbers():
         parse_libsvm("3 1:1\n")
 
 
+def test_parse_rejects_an_index_beyond_int64_with_line_number():
+    message = "line 2: feature index 9223372036854775808 does not fit in int64"
+    with pytest.raises(DataFormatError, match=message):
+        parse_libsvm("+1 1:1\n+1 1:1 9223372036854775808:1\n")
+    ds = parse_libsvm("+1 9223372036854775807:1\n")
+    assert ds.examples[0].x.indices.tolist() == [2**63 - 1]
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
 def test_parse_rejects_non_finite_values_with_line_number(text):
     with pytest.raises(DataFormatError, match=f"line 3: non-finite value '{text}'"):
