@@ -115,26 +115,30 @@ def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]
     E = np.stack([np.asarray(points[k].explicit, dtype=float) for k in order])
     sw = np.array([points[k].slack_weight for k in order], dtype=float)
     sw2 = sw * sw
-    q = np.einsum("ij,ij->i", E, E) + sw2
-    E2 = 2.0 * E
+    start = int(order.argmin())  # where input 0 sits in id order
+    # The Gram matrix of the inputs less the start point: the MEB moves with
+    # a translation, and differences keep the distances accurate for a ball
+    # much smaller than |p|.  Copies of the start point get rows of exact
+    # zeros, so a lone point and coincident points stop at once.
+    D = E - E[start]
+    D2 = 2.0 * D
+    q = np.einsum("ij,ij->i", D, D) + sw2
 
     def gram_row(j: int) -> np.ndarray:
-        # 2 K[j, :].  Slack axes meet only on the diagonal, which is set to
-        # exactly 2|p_j|^2.  einsum sums like q above, so a lone point and
-        # coincident points reach dmax^2 = 0 bitwise and stop at once.
-        row = np.einsum("ij,j->i", E, E2[j])
+        # 2 K[j, :].  Slack axes meet only on the diagonal, 2 q[j].
+        row = D @ D2[j]
         row[j] = 2.0 * q[j]
         return row
 
     cap = math.ceil(1.0 / (delta * delta))
     threshold = (1.0 + delta) ** 2
 
-    act = order.argmin(keepdims=True)  # where input 0 sits in id order
+    act = np.array([start])
     alpha = np.ones(1)
     # Row 0 is the border of the KKT matrix, row 1 + i the active point i's
     # Gram row times 2, so column j holds the border entries of input j.
     rows = np.ones((5, m))
-    rows[1] = gram_row(act[0])
+    rows[1] = gram_row(start)
     H = None  # inverse of the bordered KKT matrix of the active set
     lower2 = 0.0
     steps = 0
@@ -149,7 +153,7 @@ def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]
             # distance and half of it lower-bounds the optimal radius.
             lower2 = 0.25 * dmax2
             lam = 1e-3 * delta * lower2
-            H = np.array([[-2.0 * (q[act[0]] + lam), 1.0], [1.0, 0.0]])
+            H = np.array([[-2.0 * (q[start] + lam), 1.0], [1.0, 0.0]])
         lower2 = max(lower2, float(alpha @ q[act]) - c2)
         if dmax2 <= threshold * lower2 or steps == cap:
             break
@@ -193,7 +197,7 @@ def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]
     # distance; any drift in the Gram-form distances drops out here.
     a = alpha / alpha.sum()
     cs = a * sw[act]
-    ce = a @ E[act]
+    ce = E[start] + a @ D[act]
     diff = E - ce
     d2 = np.einsum("ij,ij->i", diff, diff) + (float(cs @ cs) + sw2)
     d2[act] -= 2.0 * cs * sw[act]

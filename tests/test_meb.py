@@ -297,6 +297,27 @@ def test_approx_meb_on_degenerate_sets_within_one_plus_delta(vecs, delta, sw):
         assert ball.radius <= (1.0 + delta) * r_star * (1.0 + 1e-9) + 1e-12
 
 
+def test_approx_meb_small_ball_far_from_the_origin():
+    # A spread of 1e-6 at distance 1e4, and copies of one unit vector a few
+    # ulps apart: Gram entries of the raw points would cancel to noise.
+    rng = np.random.default_rng(8)
+    for trial in range(10):
+        if trial % 2:
+            vecs = 1e4 * rng.normal(size=3) + 1e-6 * rng.normal(size=(20, 3))
+        else:
+            unit = rng.normal(size=3) / math.sqrt(3.0)
+            vecs = unit * (1.0 + rng.integers(-3, 4, size=(12, 1)) * 2.0**-52)
+        pts = [raw(v, i) for i, v in enumerate(vecs)]
+        ball, core = approx_meb(pts, 0.01)
+        assert math.isfinite(ball.radius)
+        assert len({p.id for p in core.members}) == len(core.members)
+        for p in pts:
+            assert distance2(ball.center, p) <= ball.radius**2 * (1.0 + 1e-12)
+        if trial % 2:  # the oracle on differences, which it resolves
+            _, r_star = exact_meb_small(vecs - vecs[0])
+            assert ball.radius <= 1.01 * r_star * (1.0 + 1e-6), f"trial {trial}"
+
+
 def test_approx_meb_reruns_bit_for_bit():
     rng = np.random.default_rng(12)
     for sw in (0.0, 0.5):
