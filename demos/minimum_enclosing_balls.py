@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Approximate minimum enclosing balls versus the exact small-dimension oracle.
 
-The approximate solver walks the center toward the farthest point with
-shrinking steps, collecting the selected points into a core set.  On small
-2-D and 3-D instances we can afford the exact enumeration oracle and compare.
+The approximate solver adds the farthest point to an active set and
+re-solves the ball of the active points exactly, dropping points that no
+longer carry weight; the active points are the core set.  On small 2-D and
+3-D instances we can afford the exact enumeration oracle and compare.
 """
 
 import sys
