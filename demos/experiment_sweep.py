@@ -3,21 +3,26 @@
 
 Twenty shuffled passes per configuration, accuracy averaged over the runs,
 an epsilon sweep for both lookahead settings, and the single-pass perceptron
-as the baseline.  The sweep emits the same CSV the command line tool writes.
+of ``tests/oracle.py`` as the baseline.  The sweep emits the same CSV the
+command line tool writes.
 """
 
 import sys
+from pathlib import Path
 
 from bbsvm import (
     Dataset,
     ModelParams,
     epsilon_sweep,
     generate_synthetic,
-    perceptron_stream,
     run_experiment,
     shuffled,
     write_csv,
 )
+
+# The perceptron is a baseline, kept with the test references, not a trainer.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracle import perceptron_stream  # noqa: E402
 
 full = generate_synthetic(n=4800, dim=15, margin=0.15, noise=0.02, seed=11)
 train = Dataset(full.examples[:4000], 15)

@@ -23,7 +23,6 @@ from .experiments import (
     ExperimentReport,
     RunResult,
     epsilon_sweep,
-    perceptron_stream,
     run_experiment,
     write_csv,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "load_model",
     "map_test_point",
     "parse_libsvm",
-    "perceptron_stream",
     "run_experiment",
     "save_model",
     "shuffled",

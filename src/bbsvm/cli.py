@@ -9,6 +9,8 @@ import argparse
 import io
 import sys
 
+import numpy as np
+
 from .data import DataFormatError, generate_synthetic, format_libsvm, load_libsvm
 from .experiments import epsilon_sweep, run_experiment, write_csv
 from .model import Model, ModelParams
@@ -111,12 +113,15 @@ def _cmd_train(args) -> int:
     dataset = _load_nonempty(args.data)
     model = Model(_model_params(args, dataset.dim)).train_stream(dataset.examples)
     save_model(model, args.model)
-    for k, cs in enumerate(model.cover.cores):
-        if cs.ball.radius >= model.params.kappa:  # margin sqrt(kappa^2 - r^2) is 0
-            ids = " ".join(str(p.id) for p in cs.members)
-            print(f"warning: ball {k} has radius {cs.ball.radius!r} >= kappa, so it "
-                  f"separates nothing: its core points, at stream positions {ids}, "
-                  "contradict each other", file=sys.stderr)
+    kappa = model.params.kappa
+    for k in model.degenerate_balls():
+        cs = model.cover.cores[k]
+        r, ids = cs.ball.radius, " ".join(str(p.id) for p in cs.members)
+        norm = float(np.linalg.norm(cs.ball.center.explicit))
+        print(f"warning: ball {k} has radius {r!r} {'>=' if r >= kappa else '<'} kappa "
+              f"{kappa!r} and separator norm {norm!r}, so it separates nothing: its "
+              f"core points, at stream positions {ids}, contradict each other",
+              file=sys.stderr)
     return 0
 
 

@@ -5,7 +5,8 @@ are buffered; once the lookahead buffer fills, the buffer is tested against
 the (1+eps)-expansions of the retained balls.  If any buffered point escapes
 them all, a new ball is computed as the approximate minimum enclosing ball
 of the buffer together with every retained core point, and older balls with
-radius below eps/4 of the new radius are discarded.
+radius below eps/4 of the new radius are discarded.  The solver starts warm
+from the newest ball's core, which is among those inputs (see ``approx_meb``).
 
 The escape test tries the newest ball first.  It encloses the last merge's
 buffer and every core point retained then, so it holds most points that do
@@ -108,15 +109,17 @@ class BlurredBallCover:
         """Fold a buffer into the cover (call only when some point escapes).
 
         Computes the approximate MEB of the buffer plus all retained core
-        points, appends the resulting pair, then discards every older pair
-        whose ball radius falls below eps/4 of the new radius.
+        points, started warm from the newest ball's core, appends the
+        resulting pair, then discards every older pair whose ball radius
+        falls below eps/4 of the new radius.
         """
         by_id: dict[int, AugPoint] = {}
         for p in escaped_buffer:
             by_id.setdefault(p.id, p)
         for p in self.all_core_points():
             by_id.setdefault(p.id, p)
-        ball, core = approx_meb(list(by_id.values()), self.delta)
+        warm = self.cores[-1].members if self.cores else None
+        ball, core = approx_meb(list(by_id.values()), self.delta, warm=warm)
         self.cores.append(core)
         cut = (self.epsilon / 4.0) * ball.radius
         self.cores = [cs for cs in self.cores if cs.ball.radius >= cut or cs is core]

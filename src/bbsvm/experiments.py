@@ -1,23 +1,22 @@
-"""Experiment harness: multi-run averaging over shuffled streams, epsilon
-sweeps with CSV output, and a single-pass perceptron baseline."""
+"""Experiment harness: multi-run averaging over shuffled streams and epsilon
+sweeps with CSV output."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
-from .data import Dataset, TrainingExample, shuffled
-from .model import Model, ModelParams, map_test_point
+from .data import Dataset, shuffled
+from .model import Model, ModelParams
 
 __all__ = [
     "CSV_HEADER",
     "ExperimentReport",
     "RunResult",
     "epsilon_sweep",
-    "perceptron_stream",
     "run_experiment",
     "write_csv",
 ]
@@ -160,44 +159,3 @@ def write_csv(reports: Sequence[ExperimentReport], stream: IO[str]) -> None:
     for report in reports:
         stream.write(report.as_csv() + "\n")
 
-
-def perceptron_stream(
-    train: Iterable[TrainingExample], test: Dataset, dim: int | None = None
-) -> float:
-    """Single-pass mistake-driven perceptron baseline; returns test accuracy.
-
-    ``train`` is read once, so a one-pass iterator works; with ``dim=None``
-    it is held in a list to infer the dimension before training.
-
-    Rows are mapped by ``map_test_point`` to ``[x_hat ; 1]``; a row it
-    rejects (NaN, infinite or zero) raises ``ValueError`` naming it, as
-    ``training example N: ...`` or ``test example N: ...``.  A prediction
-    of exactly zero counts as a mistake during training and is reported as
-    +1 at test time.
-    """
-    if not test.examples:
-        raise ValueError("perceptron_stream requires a nonempty test set")
-    if dim is None:
-        train = list(train)
-        dim = test.dim
-        for ex in train:
-            if ex.x.indices.size:
-                dim = max(dim, int(ex.x.indices[-1]))
-    params = ModelParams(dim=dim)
-
-    def mapped(what: str, position: int, x) -> np.ndarray:
-        try:
-            return map_test_point(x, params).explicit
-        except ValueError as err:
-            raise ValueError(f"{what} example {position}: {err}") from err
-
-    w = np.zeros(dim + 1)
-    for position, ex in enumerate(train):
-        xt = mapped("training", position, ex.x)
-        if ex.y * float(w @ xt) <= 0.0:
-            w += ex.y * xt
-    correct = 0
-    for position, ex in enumerate(test.examples):
-        value = float(w @ mapped("test", position, ex.x))
-        correct += (-1 if value < 0.0 else 1) == ex.y
-    return correct / len(test.examples)

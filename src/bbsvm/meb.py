@@ -10,6 +10,9 @@ inner product computable without ever building the full-dimensional space.
 ``approx_meb`` is the core-set method of Kumar, Mitchell and Yildirim: add
 the farthest input, then solve the MEB dual exactly on the points added so
 far, here by a primal active-set method; ties go to the lowest point id.
+It starts from the first input, or warm from the heavy points of a given
+set of inputs, such as the last ball's core (as do Core Vector Machines:
+Tsang, Kwok and Cheung, JMLR 2005).
 """
 
 from __future__ import annotations
@@ -74,7 +77,9 @@ class CoreSet:
     ball: Ball
 
 
-def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]:
+def approx_meb(
+    points: Sequence[AugPoint], delta: float, warm: Sequence[AugPoint] | None = None
+) -> tuple[Ball, CoreSet]:
     """Core-set MEB by a primal active-set method, with a duality-gap stop.
 
     The dual is ``max q.a - a.K.a`` over the simplex, with ``K`` the Gram
@@ -84,21 +89,28 @@ def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]
     system ``[[0, 1'], [1, 2 K_AA]]`` for the weights that put every active
     point at one distance from the center.  When a weight would turn
     non-positive, a ratio test stops on the segment from the old weights
-    and drops that point.  The inverse of the bordered matrix is kept up to
-    date by Schur complements, and only the active points' Gram rows are
-    kept, so a step costs O(|A|^2 + |A| m) and one new Gram row.  Ties
-    for the farthest point go to the lowest id.  ``K_AA`` carries a ridge
-    ``lam`` on its diagonal, which is the same as giving every point a
-    private axis of length ``sqrt(lam)``, so every active set is affinely
-    independent; at ``lam = 1e-3 * delta * dmax0^2 / 4`` (``dmax0`` the
-    first farthest distance) the farthest input is already active only
-    once the certificate holds.
+    and drops that point.  The bordered matrix's inverse is updated in place
+    by Schur complements, and only the active points' Gram rows are kept,
+    in buffers that double when full, so a step costs O(|A|^2 + |A| m) and
+    one new Gram row.  Ties for the farthest point go to the lowest id.
+    ``K_AA`` carries a ridge ``lam`` on its diagonal, which is the same as
+    giving every point a private axis of length ``sqrt(lam)``, so every
+    active set is affinely independent; at ``lam = 1e-3 * delta * dmax0^2 /
+    4`` (``dmax0`` the farthest distance from the first input) the farthest
+    input is already active only once the certificate holds.
+
+    ``warm`` names inputs (by id; ``ValueError`` if one is not an input).
+    One KKT solve weights them; those of at least the mean weight are solved
+    again, and if two or more remain, all of positive weight, the loop
+    starts from them.  Otherwise it starts from the first input.
 
     The loop stops as soon as the farthest distance is within (1+delta) of
     a certified lower bound on the optimal radius, or after ceil(1/delta^2)
-    steps.  The lower bound combines half the first farthest-pair distance
-    with the weak-duality value ``q.a - a.K.a = sum a_i d_i^2`` of the
-    current weights, ``d_i`` the distance of input ``i`` from the center.
+    steps.  The lower bound combines ``dmax0 / 2`` (from any point of the
+    inputs' hull, such as the first input, the farthest input is at most
+    twice the optimal radius away) with the weak-duality value ``q.a -
+    a.K.a = sum a_i d_i^2`` of the current weights, warm or cold, ``d_i``
+    the distance of input ``i`` from the center.
 
     Returns the ball (radius = exact max distance from the final center to
     any input, so containment holds by construction) and the core set: the
@@ -111,7 +123,8 @@ def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]
         raise ValueError("delta must be positive")
 
     # In id order np.argmax's first maximal index is the lowest id.
-    order = np.argsort([p.id for p in points], kind="stable")
+    ids = np.array([p.id for p in points])
+    order = np.argsort(ids, kind="stable")
     E = np.stack([np.asarray(points[k].explicit, dtype=float) for k in order])
     sw = np.array([points[k].slack_weight for k in order], dtype=float)
     sw2 = sw * sw
@@ -130,78 +143,101 @@ def approx_meb(points: Sequence[AugPoint], delta: float) -> tuple[Ball, CoreSet]
         row[j] = 2.0 * q[j]
         return row
 
+    def kkt(S: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The inverse bordered KKT matrix of the points S (2 K rows R), weights.
+        M = np.ones((len(S) + 1, len(S) + 1))
+        M[0, 0], M[1:, 1:] = 0.0, R[:, S]
+        M[1:, 1:].flat[:: len(S) + 1] = 2.0 * (q[S] + lam)
+        H = np.linalg.inv(M)
+        return H, H[1:, 0] + H[1:, 1:] @ q[S]
+
     cap = math.ceil(1.0 / (delta * delta))
     threshold = (1.0 + delta) ** 2
+    # From the start point, where |c|^2 = q[start], dmax0 is a pairwise
+    # distance, so half of it lower-bounds the optimal radius.
+    start_row = gram_row(start)
+    lower2 = 0.25 * max(float((q - start_row).max()) + q[start], 0.0)
+    lam = 1e-3 * delta * lower2
 
-    act = np.array([start])
-    alpha = np.ones(1)
-    # Row 0 is the border of the KKT matrix, row 1 + i the active point i's
-    # Gram row times 2, so column j holds the border entries of input j.
-    rows = np.ones((5, m))
-    rows[1] = gram_row(start)
-    H = None  # inverse of the bordered KKT matrix of the active set
-    lower2 = 0.0
+    init = [start], [1.0], [[-2.0 * (q[start] + lam), 1.0], [1.0, 0.0]], [start_row]
+    if warm and lam > 0.0:  # lam = 0: every input is the start point
+        W = np.searchsorted(ids[order], [p.id for p in warm])
+        missing = [p.id for p, k in zip(warm, W) if k == m or ids[order[k]] != p.id]
+        if missing:
+            raise ValueError(f"warm ids {missing} are not among the inputs")
+        R = np.stack([gram_row(k) for k in W])
+        keep = kkt(W, R)[1] >= 1.0 / len(W)
+        if keep.sum() >= 2:
+            Hw, aw = kkt(W[keep], R[keep])
+            if (aw > 0.0).all():
+                init = W[keep], aw, Hw, R[keep]
+    # Active points act[:n], weights alpha[:n], inverse KKT H[: n + 1, : n + 1];
+    # rows: the border, then 2 K rows, so column j holds input j's entries.
+    n = len(init[0])
+    size = max(4, n)
+    act, alpha = np.empty(size, dtype=np.intp), np.empty(size)
+    H, rows = np.empty((size + 1, size + 1)), np.ones((size + 1, m))
+    act[:n], alpha[:n], H[: n + 1, : n + 1], rows[1 : n + 1] = init
     steps = 0
     while True:
-        g = alpha @ rows[1 : len(act) + 1]  # 2 K a
-        c2 = 0.5 * float(alpha @ g[act])  # |c|^2
+        a = alpha[:n]
+        g = a @ rows[1 : n + 1]  # 2 K a
+        c2 = 0.5 * float(a @ g[act[:n]])  # |c|^2
         h = q - g  # d_i^2 - |c|^2
         j = int(h.argmax())
         dmax2 = max(float(h[j]) + c2, 0.0)
-        if H is None:
-            # The start center is an input point, so dmax is a pairwise
-            # distance and half of it lower-bounds the optimal radius.
-            lower2 = 0.25 * dmax2
-            lam = 1e-3 * delta * lower2
-            H = np.array([[-2.0 * (q[start] + lam), 1.0], [1.0, 0.0]])
-        lower2 = max(lower2, float(alpha @ q[act]) - c2)
+        lower2 = max(lower2, float(a @ q[act[:n]]) - c2)
         if dmax2 <= threshold * lower2 or steps == cap:
             break
         steps += 1
 
+        if n == size:  # double the buffers
+            act, alpha, H = (np.pad(b, (0, size)) for b in (act, alpha, H))
+            rows, size = np.pad(rows, ((0, size), (0, 0))), 2 * size
         # Border the system with j: H gains s * w w' with w = [H v; -1].
-        n = len(act)
-        if n + 1 == len(rows):
-            rows = np.concatenate((rows, np.empty_like(rows[1:])))
         rows[n + 1] = gram_row(j)
         v = rows[: n + 1, j]
-        w = np.append(H @ v, -1.0)
+        w = np.append(H[: n + 1, : n + 1] @ v, -1.0)
         s = 1.0 / (2.0 * (q[j] + lam) - float(v @ w[:-1]))
-        grown = np.zeros((n + 2, n + 2))
-        grown[:-1, :-1] = H
-        grown += np.outer(s * w, w)
-        H = grown
-        act = np.append(act, j)
-        if n == 1:
+        H[n + 1, : n + 2] = H[: n + 1, n + 1] = 0.0
+        H[: n + 2, : n + 2] += np.outer(s * w, w)
+        act[n] = j
+        n += 1
+        if n == 2:
             # The MEB of two points is their midpoint.  Exact halves give a
             # pair p, -p (a contradicting hard-margin pair) the zero center.
-            alpha = np.array([0.5, 0.5])
+            alpha[:2] = 0.5
             continue
-        alpha = np.append(alpha, 0.0)
+        alpha[n - 1] = 0.0
         while True:
-            target = H[1:, 0] + H[1:, 1:] @ q[act]
+            a = alpha[:n]
+            target = H[1 : n + 1, 0] + H[1 : n + 1, 1 : n + 1] @ q[act[:n]]
             out = np.flatnonzero(target <= 0.0)
             if out.size == 0:
-                alpha = target
+                a[:] = target
                 break
-            ratios = alpha[out] / (alpha[out] - target[out])
+            ratios = a[out] / (a[out] - target[out])
             k = int(out[ratios.argmin()])
-            alpha = np.delete(alpha + float(ratios.min()) * (target - alpha), k)
-            col = H[:, k + 1]
-            H = H - np.outer(col, col / col[k + 1])
-            H = np.delete(np.delete(H, k + 1, 0), k + 1, 1)
-            rows[k + 1 : len(act)] = rows[k + 2 : len(act) + 1]
-            act = np.delete(act, k)
+            a += float(ratios.min()) * (target - a)
+            col = H[: n + 1, k + 1].copy()
+            H[: n + 1, : n + 1] -= np.outer(col, col / col[k + 1])
+            # Drop point k: shift the later entries down one place.
+            H[k + 1 : n, : n + 1] = H[k + 2 : n + 1, : n + 1]
+            H[:n, k + 1 : n] = H[:n, k + 2 : n + 1]
+            rows[k + 1 : n] = rows[k + 2 : n + 1]
+            act[k : n - 1], alpha[k : n - 1] = act[k + 1 : n], alpha[k + 1 : n]
+            n -= 1
 
     # Reconstruct the center from the weights and measure the exact max
     # distance; any drift in the Gram-form distances drops out here.
-    a = alpha / alpha.sum()
-    cs = a * sw[act]
-    ce = E[start] + a @ D[act]
+    A = act[:n]
+    a = alpha[:n] / alpha[:n].sum()
+    cs = a * sw[A]
+    ce = E[start] + a @ D[A]
     diff = E - ce
     d2 = np.einsum("ij,ij->i", diff, diff) + (float(cs @ cs) + sw2)
-    d2[act] -= 2.0 * cs * sw[act]
-    members = [points[k] for k in order[act]]
+    d2[A] -= 2.0 * cs * sw[A]
+    members = [points[k] for k in order[A]]
     coeffs = {p.id: float(c) for p, c in zip(members, cs) if c != 0.0}
     ball = Ball(Center(ce, coeffs), math.sqrt(max(float(d2.max()), 0.0)))
     return ball, CoreSet(members, ball)

@@ -27,6 +27,7 @@ __all__ = ["Model", "ModelParams", "feature_map", "map_test_point"]
 
 TEST_POINT_ID = -1
 QUERY_CHUNK = 256  # queries whose indices and values predict concatenates at once
+MARGIN2_RTOL = 1e-9  # margin^2 / kappa^2 at or below which a ball separates nothing
 
 
 @dataclass
@@ -42,6 +43,9 @@ class ModelParams:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
+        if (self.dim + 1) * 8 > np.iinfo(np.intp).max:  # NumPy's array size limit
+            raise ValueError(f"feature index {self.dim} implies dense points of "
+                             f"{self.dim + 1} float64 values, more than an array holds")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if not self.C > 0.0:
@@ -192,6 +196,15 @@ class Model:
         tied = margin == 0.0
         labels[tied] = np.where(signed[tied].sum(axis=1) < 0.0, -1, 1)
         return labels
+
+    def degenerate_balls(self) -> list[int]:
+        """Positions of the balls that separate nothing: an explicit center
+        block of zeros (no separator), or a margin^2 ``kappa^2 - r^2`` of at
+        most ``MARGIN2_RTOL * kappa^2`` (no margin)."""
+        kappa2 = self.params.kappa**2
+        return [k for k, cs in enumerate(self.cover.cores)
+                if not cs.ball.center.explicit.any()
+                or kappa2 - cs.ball.radius**2 <= MARGIN2_RTOL * kappa2]
 
     def classify(self, x: SparseVector) -> int:
         return int(self.predict([x])[0])

@@ -8,20 +8,22 @@ test whose decisions ``escapes`` must repeat bit for bit, and an exact
 minimum enclosing ball for dimension <= 3 to measure ``approx_meb``
 against.  It also holds the small views the tests read and the library does
 not: a dense copy of a sparse vector, a point's squared norm and a cover's
-list of balls.
+list of balls; and the single-pass perceptron, the baseline that the
+acceptance criteria and the experiment demo score the trainer against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from bbsvm.cover import BlurredBallCover
-from bbsvm.data import SparseVector
+from bbsvm.data import Dataset, SparseVector, TrainingExample
 from bbsvm.meb import AugPoint, Ball, Center
+from bbsvm.model import ModelParams, map_test_point
 
 
 def to_dense(x: SparseVector, dim: int) -> np.ndarray:
@@ -222,3 +224,45 @@ def exact_meb_small(points) -> tuple[np.ndarray, float]:
     if best_center is None:  # unreachable for nondegenerate inputs
         raise RuntimeError("no enclosing candidate found")
     return best_center, math.sqrt(best_r2)
+
+
+def perceptron_stream(
+    train: Iterable[TrainingExample], test: Dataset, dim: int | None = None
+) -> float:
+    """Single-pass mistake-driven perceptron baseline; returns test accuracy.
+
+    ``train`` is read once, so a one-pass iterator works; with ``dim=None``
+    it is held in a list to infer the dimension before training.
+
+    Rows are mapped by ``map_test_point`` to ``[x_hat ; 1]``; a row it
+    rejects (NaN, infinite or zero) raises ``ValueError`` naming it, as
+    ``training example N: ...`` or ``test example N: ...``.  A prediction
+    of exactly zero counts as a mistake during training and is reported as
+    +1 at test time.
+    """
+    if not test.examples:
+        raise ValueError("perceptron_stream requires a nonempty test set")
+    if dim is None:
+        train = list(train)
+        dim = test.dim
+        for ex in train:
+            if ex.x.indices.size:
+                dim = max(dim, int(ex.x.indices[-1]))
+    params = ModelParams(dim=dim)
+
+    def mapped(what: str, position: int, x) -> np.ndarray:
+        try:
+            return map_test_point(x, params).explicit
+        except ValueError as err:
+            raise ValueError(f"{what} example {position}: {err}") from err
+
+    w = np.zeros(dim + 1)
+    for position, ex in enumerate(train):
+        xt = mapped("training", position, ex.x)
+        if ex.y * float(w @ xt) <= 0.0:
+            w += ex.y * xt
+    correct = 0
+    for position, ex in enumerate(test.examples):
+        value = float(w @ mapped("test", position, ex.x))
+        correct += (-1 if value < 0.0 else 1) == ex.y
+    return correct / len(test.examples)

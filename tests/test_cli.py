@@ -67,6 +67,25 @@ def test_train_warns_of_a_ball_that_separates_nothing(tmp_path, capsys, L):
     assert sorted(err.split("stream positions ")[1].split(",")[0].split()) == ["0", "1"]
 
 
+def test_train_warns_of_a_zero_center_whose_radius_rounds_below_kappa(tmp_path, capsys):
+    # |x_hat|^2 of (1, 0.5) rounds low: the contradicting pair's ball has a
+    # radius one ulp below kappa, and every prediction is +1.
+    text = "+1 1:1 2:0.5\n-1 1:1 2:0.5\n" + format_libsvm(
+        generate_synthetic(200, 2, 0.2, 0.0, 1)
+    )
+    data, model = tmp_path / "d.txt", str(tmp_path / "m.bbsvm")
+    data.write_text(text)
+    args = ["train", "--data", str(data), "--epsilon", "0.01", "--L", "0"]
+    assert run_cli(args + ["--model", model]) == 0
+    assert capsys.readouterr().err == (
+        "warning: ball 0 has radius 1.414213562373095 < kappa 1.4142135623730951 "
+        "and separator norm 0.0, so it separates nothing: its core points, at "
+        "stream positions 1 0, contradict each other\n"
+    )
+    assert run_cli(["predict", "--model", model, "--data", str(data)]) == 0
+    assert capsys.readouterr().err == "accuracy 0.470297 on 202 points\n"
+
+
 def test_predict_to_file(tmp_path, dataset_file, model_file):
     out = tmp_path / "labels.txt"
     assert run_cli(
@@ -83,7 +102,7 @@ def test_usage_errors_exit_1():
     assert run_cli(["bogus-command"]) == 1
 
 
-def test_data_errors_exit_2(tmp_path):
+def test_data_errors_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
     assert run_cli(
@@ -102,6 +121,14 @@ def test_data_errors_exit_2(tmp_path):
     assert run_cli(
         ["train", "--data", str(bad), "--model", str(tmp_path / "m.bbsvm")]
     ) == 2
+    bad.write_text("+1 4611686018427387904:1\n")  # a dense point beyond NumPy's limit
+    capsys.readouterr()
+    assert run_cli(
+        ["train", "--data", str(bad), "--model", str(tmp_path / "m.bbsvm")]
+    ) == 2
+    assert "index 4611686018427387904 implies dense points of 4611686018427387905 " in (
+        capsys.readouterr().err
+    )
 
 
 def assert_same_cover(model, reference):

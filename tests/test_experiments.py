@@ -10,11 +10,11 @@ from bbsvm.experiments import (
     ExperimentReport,
     RunResult,
     epsilon_sweep,
-    perceptron_stream,
     run_experiment,
     write_csv,
 )
 from bbsvm.model import ModelParams
+from oracle import perceptron_stream
 
 
 def sv(*values):

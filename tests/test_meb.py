@@ -297,6 +297,59 @@ def test_approx_meb_on_degenerate_sets_within_one_plus_delta(vecs, delta, sw):
         assert ball.radius <= (1.0 + delta) * r_star * (1.0 + 1e-9) + 1e-12
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    vecs=degenerate_sets(),
+    delta=st.sampled_from([0.2, 0.01, 1e-4]),
+    sw=st.sampled_from([0.0, 0.5]),
+    data=st.data(),
+)
+def test_approx_meb_from_any_warm_subset_within_one_plus_delta(vecs, delta, sw, data):
+    # Any inputs, in any order, may be the warm start: the contract is the
+    # cold start's.  With slack axes the optimum is bounded by a cold solve
+    # to 1e-7, whose radius is at least the optimal one.
+    ids = np.random.default_rng(len(vecs)).permutation(3 * len(vecs))[: len(vecs)]
+    pts = [raw(v, int(i), sw=sw) for v, i in zip(vecs, ids)]
+    order = data.draw(st.permutations(range(len(pts))))
+    warm = [pts[k] for k in order[: data.draw(st.integers(0, len(pts)))]]
+    ball, core = approx_meb(pts, delta, warm=warm)
+    for p in pts:
+        assert distance2(ball.center, p) <= ball.radius**2 * (1.0 + 1e-12) + 1e-300
+    core_ids = [p.id for p in core.members]
+    assert len(set(core_ids)) == len(core_ids)
+    assert set(core_ids) <= set(ids.tolist())
+    assert (convex_weights(ball, core, sw) > 0.0).all()
+    if sw:
+        r_star = approx_meb(pts, 1e-7)[0].radius
+    else:
+        _, r_star = exact_meb_small(vecs)
+    assert ball.radius <= (1.0 + delta) * r_star * (1.0 + 1e-9) + 1e-12
+
+
+def test_approx_meb_refuses_a_warm_point_that_is_not_an_input():
+    pts = [raw([0.0, 1.0], 4), raw([1.0, 0.0], 7), raw([2.0, 2.0], 9)]
+    for stranger in (0, 5, 10):
+        with pytest.raises(ValueError, match=f"warm ids \\[{stranger}\\]"):
+            approx_meb(pts, 0.01, warm=[pts[0], raw([1.0, 1.0], stranger)])
+
+
+def test_approx_meb_warm_from_the_last_core_meets_the_cold_contract():
+    # The merge pattern: a ball, then the ball of its inputs plus new
+    # points, warm from its core.  Every certificate of the cold start holds.
+    rng = np.random.default_rng(41)
+    for trial in range(20):
+        dim, sw = int(rng.integers(2, 30)), (0.0, 0.5)[trial % 2]
+        vecs = rng.normal(size=(120, dim))
+        pts = [raw(v, i, sw=sw) for i, v in enumerate(vecs)]
+        _, core = approx_meb(pts[:100], 1e-3)
+        ball, warm_core = approx_meb(pts, 1e-3, warm=core.members)
+        cold, _ = approx_meb(pts, 1e-3)
+        farthest2 = max(distance2(ball.center, p) for p in pts)
+        assert farthest2 <= ball.radius**2 * (1.0 + 1e-12)
+        assert (convex_weights(ball, warm_core, sw) > 0.0).all()
+        assert ball.radius <= 1.001 * cold.radius, f"trial {trial}"
+
+
 def test_approx_meb_small_ball_far_from_the_origin():
     # A spread of 1e-6 at distance 1e4, and copies of one unit vector a few
     # ulps apart: Gram entries of the raw points would cancel to noise.
@@ -320,12 +373,12 @@ def test_approx_meb_small_ball_far_from_the_origin():
 
 def test_approx_meb_reruns_bit_for_bit():
     rng = np.random.default_rng(12)
-    for sw in (0.0, 0.5):
+    for sw, warm in [(0.0, None), (0.5, None), (0.0, range(0, 300, 7)), (0.5, [5, 2])]:
         vecs = rng.normal(size=(300, 21))
-        runs = [
-            approx_meb([raw(v.copy(), i, sw=sw) for i, v in enumerate(vecs)], 1e-4)
-            for _ in range(2)
-        ]
+        runs = []
+        for _ in range(2):
+            pts = [raw(v.copy(), i, sw=sw) for i, v in enumerate(vecs)]
+            runs.append(approx_meb(pts, 1e-4, warm=warm and [pts[k] for k in warm]))
         (b1, c1), (b2, c2) = runs
         assert b1.radius == b2.radius
         assert b1.center.explicit.tobytes() == b2.center.explicit.tobytes()

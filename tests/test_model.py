@@ -17,6 +17,7 @@ from bbsvm.data import (
     Dataset,
     SparseVector,
     TrainingExample,
+    format_libsvm,
     generate_synthetic,
     parse_libsvm,
 )
@@ -190,6 +191,10 @@ def test_params_validation_and_defaults():
         ModelParams(dim=2, C=0.0)
     with pytest.raises(ValueError):
         ModelParams(dim=2, lookahead=-1)
+    # NumPy refuses an array this long before allocating it; name the index.
+    with pytest.raises(ValueError, match="feature index 4611686018427387904 implies "
+                       "dense points of 4611686018427387905 "):
+        ModelParams(dim=2**62)
 
 
 # ---------------------------------------------------------------- train_stream
@@ -319,6 +324,39 @@ def test_hard_margin_contradicting_pair_predicts_by_tie_rule(tmp_path, tail):
     soft = Model(ModelParams(dim=5, C=1.0)).train_stream(stream[:2])
     for m in (model, load_model(tmp_path / "m.bbsvm"), soft):
         assert np.array_equal(m.predict(queries), np.ones(len(queries), dtype=int))
+
+
+@pytest.mark.parametrize(
+    "pair, C, radius",
+    [
+        # |x_hat|^2 rounds low, so the radius is one ulp below kappa.
+        ("1:1 2:0.5", math.inf, 1.414213562373095),
+        ("1:1", math.inf, math.sqrt(2.0)),
+        # The slack axes keep the center off zero and the radius below kappa.
+        ("1:1 2:0.5", 10.0, None),
+    ],
+)
+def test_a_contradicting_pair_leaves_a_degenerate_ball(pair, C, radius):
+    tail = format_libsvm(generate_synthetic(200, 2, 0.2, 0.0, 1))
+    stream = parse_libsvm(f"+1 {pair}\n-1 {pair}\n" + tail).examples
+    model = Model(ModelParams(dim=2, epsilon=0.01, C=C, lookahead=0))
+    model.train_stream(stream)
+    assert model.degenerate_balls() == [0]
+    if radius is not None:
+        assert [cs.ball.radius for cs in model.cover.cores] == [radius]
+    healthy = Model(ModelParams(dim=2, epsilon=0.01, C=C, lookahead=0))
+    assert healthy.train_stream(stream[2:]).degenerate_balls() == []
+
+
+def test_a_ball_of_almost_no_margin_is_degenerate():
+    # A nonzero center whose margin^2 is 1e-12 kappa^2 separates nothing.
+    model = Model(ModelParams(dim=2))
+    kappa2 = model.params.kappa**2
+    for margin2, flagged in ((1e-12, [0]), (1e-6, [])):
+        radius = math.sqrt(kappa2 * (1.0 - margin2))
+        ball = Ball(Center(np.array([0.1, 0.0, 0.0])), radius)
+        model.cover.cores = [CoreSet([raw([1.0, 0.0, 1.0], 0)], ball)]
+        assert model.degenerate_balls() == flagged
 
 
 # -------------------------------------------------------------------- classify
