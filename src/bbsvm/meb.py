@@ -10,9 +10,7 @@ inner product computable without ever building the full-dimensional space.
 ``approx_meb`` is the core-set method of Kumar, Mitchell and Yildirim: add
 the farthest input, then solve the MEB dual exactly on the points added so
 far, here by a primal active-set method; ties go to the lowest point id.
-It starts from the first input, or warm from the heavy points of a given
-set of inputs, such as the last ball's core (as do Core Vector Machines:
-Tsang, Kwok and Cheung, JMLR 2005).
+It starts from the first input, or warm from given inputs (a ball's core).
 """
 
 from __future__ import annotations
@@ -125,7 +123,7 @@ def approx_meb(
     # In id order np.argmax's first maximal index is the lowest id.
     ids = np.array([p.id for p in points])
     order = np.argsort(ids, kind="stable")
-    E = np.stack([np.asarray(points[k].explicit, dtype=float) for k in order])
+    E = np.array([points[k].explicit for k in order], dtype=float)
     sw = np.array([points[k].slack_weight for k in order], dtype=float)
     sw2 = sw * sw
     start = int(order.argmin())  # where input 0 sits in id order
@@ -144,12 +142,11 @@ def approx_meb(
         return row
 
     def kkt(S: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The inverse bordered KKT matrix of the points S (2 K rows R), weights.
+        # The bordered KKT system of the points S, of Gram rows R times 2.
         M = np.ones((len(S) + 1, len(S) + 1))
         M[0, 0], M[1:, 1:] = 0.0, R[:, S]
         M[1:, 1:].flat[:: len(S) + 1] = 2.0 * (q[S] + lam)
-        H = np.linalg.inv(M)
-        return H, H[1:, 0] + H[1:, 1:] @ q[S]
+        return M, np.append(1.0, q[S])
 
     cap = math.ceil(1.0 / (delta * delta))
     threshold = (1.0 + delta) ** 2
@@ -166,11 +163,12 @@ def approx_meb(
         if missing:
             raise ValueError(f"warm ids {missing} are not among the inputs")
         R = np.stack([gram_row(k) for k in W])
-        keep = kkt(W, R)[1] >= 1.0 / len(W)
+        keep = np.linalg.solve(*kkt(W, R))[1:] >= 1.0 / len(W)
         if keep.sum() >= 2:
-            Hw, aw = kkt(W[keep], R[keep])
-            if (aw > 0.0).all():
-                init = W[keep], aw, Hw, R[keep]
+            M, b = kkt(W[keep], R[keep])
+            Hw = np.linalg.inv(M)
+            if (Hw[1:] @ b > 0.0).all():
+                init = W[keep], Hw[1:] @ b, Hw, R[keep]
     # Active points act[:n], weights alpha[:n], inverse KKT H[: n + 1, : n + 1];
     # rows: the border, then 2 K rows, so column j holds input j's entries.
     n = len(init[0])
@@ -190,17 +188,18 @@ def approx_meb(
         if dmax2 <= threshold * lower2 or steps == cap:
             break
         steps += 1
-
         if n == size:  # double the buffers
-            act, alpha, H = (np.pad(b, (0, size)) for b in (act, alpha, H))
-            rows, size = np.pad(rows, ((0, size), (0, 0))), 2 * size
+            act, alpha = np.concatenate((act, act)), np.concatenate((alpha, alpha))
+            rows = np.concatenate((rows, rows[1:]))
+            old, H = H, np.empty((2 * size + 1, 2 * size + 1))
+            H[: n + 1, : n + 1], size = old, 2 * size
         # Border the system with j: H gains s * w w' with w = [H v; -1].
         rows[n + 1] = gram_row(j)
         v = rows[: n + 1, j]
-        w = np.append(H[: n + 1, : n + 1] @ v, -1.0)
+        w = np.concatenate((H[: n + 1, : n + 1] @ v, [-1.0]))
         s = 1.0 / (2.0 * (q[j] + lam) - float(v @ w[:-1]))
         H[n + 1, : n + 2] = H[: n + 1, n + 1] = 0.0
-        H[: n + 2, : n + 2] += np.outer(s * w, w)
+        H[: n + 2, : n + 2] += (s * w)[:, None] * w  # np.outer(s * w, w)
         act[n] = j
         n += 1
         if n == 2:
@@ -212,7 +211,7 @@ def approx_meb(
         while True:
             a = alpha[:n]
             target = H[1 : n + 1, 0] + H[1 : n + 1, 1 : n + 1] @ q[act[:n]]
-            out = np.flatnonzero(target <= 0.0)
+            out = (target <= 0.0).nonzero()[0]
             if out.size == 0:
                 a[:] = target
                 break
@@ -220,7 +219,7 @@ def approx_meb(
             k = int(out[ratios.argmin()])
             a += float(ratios.min()) * (target - a)
             col = H[: n + 1, k + 1].copy()
-            H[: n + 1, : n + 1] -= np.outer(col, col / col[k + 1])
+            H[: n + 1, : n + 1] -= col[:, None] * (col / col[k + 1])
             # Drop point k: shift the later entries down one place.
             H[k + 1 : n, : n + 1] = H[k + 2 : n + 1, : n + 1]
             H[:n, k + 1 : n] = H[:n, k + 2 : n + 1]
