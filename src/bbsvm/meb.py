@@ -97,10 +97,9 @@ def approx_meb(
     4`` (``dmax0`` the farthest distance from the first input) the farthest
     input is already active only once the certificate holds.
 
-    ``warm`` names inputs (by id; ``ValueError`` if one is not an input).
-    One KKT solve weights them; those of at least the mean weight are solved
-    again, and if two or more remain, all of positive weight, the loop
-    starts from them.  Otherwise it starts from the first input.
+    ``warm`` names inputs (``ValueError`` if one is not an input).  If two or
+    more of at least their mean KKT weight keep positive weights when solved
+    again, the loop starts from those and reuses the others' Gram rows.
 
     The loop stops as soon as the farthest distance is within (1+delta) of
     a certified lower bound on the optimal radius, or after ceil(1/delta^2)
@@ -157,12 +156,14 @@ def approx_meb(
     lam = 1e-3 * delta * lower2
 
     init = [start], [1.0], [[-2.0 * (q[start] + lam), 1.0], [1.0, 0.0]], [start_row]
+    cached = {}  # Gram rows of the warm points, which the loop may add back
     if warm and lam > 0.0:  # lam = 0: every input is the start point
         W = np.searchsorted(ids[order], [p.id for p in warm])
         missing = [p.id for p, k in zip(warm, W) if k == m or ids[order[k]] != p.id]
         if missing:
             raise ValueError(f"warm ids {missing} are not among the inputs")
         R = np.stack([gram_row(k) for k in W])
+        cached = dict(zip(W.tolist(), R))
         keep = np.linalg.solve(*kkt(W, R))[1:] >= 1.0 / len(W)
         if keep.sum() >= 2:
             M, b = kkt(W[keep], R[keep])
@@ -194,7 +195,7 @@ def approx_meb(
             old, H = H, np.empty((2 * size + 1, 2 * size + 1))
             H[: n + 1, : n + 1], size = old, 2 * size
         # Border the system with j: H gains s * w w' with w = [H v; -1].
-        rows[n + 1] = gram_row(j)
+        rows[n + 1] = cached[j] if j in cached else gram_row(j)
         v = rows[: n + 1, j]
         w = np.concatenate((H[: n + 1, : n + 1] @ v, [-1.0]))
         s = 1.0 / (2.0 * (q[j] + lam) - float(v @ w[:-1]))
