@@ -97,7 +97,7 @@ def approx_meb(
     4`` (``dmax0`` the farthest distance from the first input) the farthest
     input is already active only once the certificate holds.
 
-    ``warm`` names inputs (``ValueError`` if one is not an input).  If two or
+    ``warm`` lists inputs, matched by id (else ``ValueError``).  If two or
     more of at least their mean KKT weight keep positive weights when solved
     again, the loop starts from those and reuses the others' Gram rows.
 
@@ -158,8 +158,9 @@ def approx_meb(
     init = [start], [1.0], [[-2.0 * (q[start] + lam), 1.0], [1.0, 0.0]], [start_row]
     cached = {}  # Gram rows of the warm points, which the loop may add back
     if warm and lam > 0.0:  # lam = 0: every input is the start point
-        W = np.searchsorted(ids[order], [p.id for p in warm])
-        missing = [p.id for p, k in zip(warm, W) if k == m or ids[order[k]] != p.id]
+        wanted = list(dict.fromkeys(p.id for p in warm))  # each id once, in order
+        W = np.searchsorted(ids[order], wanted)
+        missing = [i for i, k in zip(wanted, W) if k == m or ids[order[k]] != i]
         if missing:
             raise ValueError(f"warm ids {missing} are not among the inputs")
         R = np.stack([gram_row(k) for k in W])

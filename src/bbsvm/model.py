@@ -198,9 +198,8 @@ class Model:
         return labels
 
     def degenerate_balls(self) -> list[int]:
-        """Positions of the balls that separate nothing: an explicit center
-        block of zeros (no separator), or a margin^2 ``kappa^2 - r^2`` of at
-        most ``MARGIN2_RTOL * kappa^2`` (no margin)."""
+        """Positions of the balls that separate nothing: a zero explicit center
+        block, or ``(kappa^2 - r^2) / kappa^2 <= MARGIN2_RTOL`` (no margin)."""
         kappa2 = self.params.kappa**2
         return [k for k, cs in enumerate(self.cover.cores)
                 if not cs.ball.center.explicit.any()

@@ -312,6 +312,7 @@ def test_approx_meb_from_any_warm_subset_within_one_plus_delta(vecs, delta, sw, 
     pts = [raw(v, int(i), sw=sw) for v, i in zip(vecs, ids)]
     order = data.draw(st.permutations(range(len(pts))))
     warm = [pts[k] for k in order[: data.draw(st.integers(0, len(pts)))]]
+    warm *= data.draw(st.integers(1, 2))  # a repeated point counts once
     ball, core = approx_meb(pts, delta, warm=warm)
     for p in pts:
         assert distance2(ball.center, p) <= ball.radius**2 * (1.0 + 1e-12) + 1e-300
