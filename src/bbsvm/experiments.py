@@ -158,4 +158,3 @@ def write_csv(reports: Sequence[ExperimentReport], stream: IO[str]) -> None:
     stream.write(CSV_HEADER + "\n")
     for report in reports:
         stream.write(report.as_csv() + "\n")
-
