@@ -111,7 +111,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = _load_nonempty(args.data)
-    model = Model(_model_params(args, dataset.dim)).train_stream(dataset.examples)
+    try:
+        model = Model(_model_params(args, dataset.dim)).train_stream(dataset.examples)
+    except MemoryError:
+        raise MemoryError(f"out of memory for dense points of {dataset.dim + 1} "
+                          f"float64 values (feature index {dataset.dim})") from None
     save_model(model, args.model)
     kappa = model.params.kappa
     for k in model.degenerate_balls():
@@ -179,7 +183,7 @@ def run_cli(argv=None) -> int:
         return 0 if not exc.code else int(exc.code)
     try:
         return args.func(args)
-    except (DataFormatError, ModelFormatError, OSError, ValueError) as err:
+    except (DataFormatError, ModelFormatError, OSError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

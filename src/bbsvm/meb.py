@@ -54,8 +54,11 @@ class Center:
     explicit: np.ndarray
     slack_coeffs: dict[int, float] = field(default_factory=dict)
 
+    def __post_init__(self):  # the coefficients never change: sum them once
+        self._slack_norm2 = sum(v * v for v in self.slack_coeffs.values())
+
     def slack_norm2(self) -> float:
-        return sum(v * v for v in self.slack_coeffs.values())
+        return self._slack_norm2
 
     def norm2(self) -> float:
         return float(self.explicit @ self.explicit) + self.slack_norm2()
@@ -98,8 +101,9 @@ def approx_meb(
     input is already active only once the certificate holds.
 
     ``warm`` lists inputs, matched by id (else ``ValueError``).  If two or
-    more of at least their mean KKT weight keep positive weights when solved
-    again, the loop starts from those and reuses the others' Gram rows.
+    more get positive weights from one KKT solve, the loop starts from them;
+    once it stops on the certificate, it drops the lightest active point
+    while all weights stay positive and certify the bound on their own.
 
     The loop stops as soon as the farthest distance is within (1+delta) of
     a certified lower bound on the optimal radius, or after ceil(1/delta^2)
@@ -140,23 +144,34 @@ def approx_meb(
         row[j] = 2.0 * q[j]
         return row
 
-    def kkt(S: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The bordered KKT system of the points S, of Gram rows R times 2.
-        M = np.ones((len(S) + 1, len(S) + 1))
-        M[0, 0], M[1:, 1:] = 0.0, R[:, S]
-        M[1:, 1:].flat[:: len(S) + 1] = 2.0 * (q[S] + lam)
-        return M, np.append(1.0, q[S])
+    def gap(a: np.ndarray, n: int) -> tuple[int, float, float]:
+        # Weights a on act[:n]: the farthest input, dmax^2, sum a_i d_i^2.
+        g = a @ rows[1 : n + 1]  # 2 K a
+        c2 = 0.5 * float(a @ g[act[:n]])  # |c|^2
+        h = q - g  # d_i^2 - |c|^2
+        j = int(h.argmax())
+        return j, max(float(h[j]) + c2, 0.0), float(a @ q[act[:n]]) - c2
+
+    def drop(k: int, n: int) -> np.ndarray:
+        # Take act[k] out of the n active points (a rank-one downdate of H,
+        # later entries shift down); return the rest's KKT weights.
+        col = H[: n + 1, k + 1].copy()
+        H[: n + 1, : n + 1] -= col[:, None] * (col / col[k + 1])
+        H[k + 1 : n, : n + 1] = H[k + 2 : n + 1, : n + 1]
+        H[:n, k + 1 : n] = H[:n, k + 2 : n + 1]
+        rows[k + 1 : n] = rows[k + 2 : n + 1]
+        act[k : n - 1], alpha[k : n - 1] = act[k + 1 : n], alpha[k + 1 : n]
+        return H[1:n, 0] + H[1:n, 1:n] @ q[act[: n - 1]]
 
     cap = math.ceil(1.0 / (delta * delta))
     threshold = (1.0 + delta) ** 2
     # From the start point, where |c|^2 = q[start], dmax0 is a pairwise
     # distance, so half of it lower-bounds the optimal radius.
     start_row = gram_row(start)
-    lower2 = 0.25 * max(float((q - start_row).max()) + q[start], 0.0)
-    lam = 1e-3 * delta * lower2
+    lower0 = lower2 = 0.25 * max(float((q - start_row).max()) + q[start], 0.0)
+    lam = 1e-3 * delta * lower0
 
     init = [start], [1.0], [[-2.0 * (q[start] + lam), 1.0], [1.0, 0.0]], [start_row]
-    cached = {}  # Gram rows of the warm points, which the loop may add back
     if warm and lam > 0.0:  # lam = 0: every input is the start point
         wanted = list(dict.fromkeys(p.id for p in warm))  # each id once, in order
         W = np.searchsorted(ids[order], wanted)
@@ -164,29 +179,25 @@ def approx_meb(
         if missing:
             raise ValueError(f"warm ids {missing} are not among the inputs")
         R = np.stack([gram_row(k) for k in W])
-        cached = dict(zip(W.tolist(), R))
-        keep = np.linalg.solve(*kkt(W, R))[1:] >= 1.0 / len(W)
-        if keep.sum() >= 2:
-            M, b = kkt(W[keep], R[keep])
-            Hw = np.linalg.inv(M)
-            if (Hw[1:] @ b > 0.0).all():
-                init = W[keep], Hw[1:] @ b, Hw, R[keep]
+        # The bordered KKT system [[0, 1'], [1, 2 K_WW]], ridge on the diagonal.
+        M = np.ones((len(W) + 1, len(W) + 1))
+        M[0, 0], M[1:, 1:] = 0.0, R[:, W]
+        M[1:, 1:].flat[:: len(W) + 1] = 2.0 * (q[W] + lam)
+        Hw = np.linalg.inv(M)
+        aw = Hw[1:] @ np.append(1.0, q[W])
+        if len(W) >= 2 and (aw > 0.0).all():
+            init = W, aw, Hw, R
     # Active points act[:n], weights alpha[:n], inverse KKT H[: n + 1, : n + 1];
     # rows: the border, then 2 K rows, so column j holds input j's entries.
     n = len(init[0])
-    size = max(4, n)
+    warmed, size = n > 1, max(4, n)
     act, alpha = np.empty(size, dtype=np.intp), np.empty(size)
     H, rows = np.empty((size + 1, size + 1)), np.ones((size + 1, m))
     act[:n], alpha[:n], H[: n + 1, : n + 1], rows[1 : n + 1] = init
     steps = 0
     while True:
-        a = alpha[:n]
-        g = a @ rows[1 : n + 1]  # 2 K a
-        c2 = 0.5 * float(a @ g[act[:n]])  # |c|^2
-        h = q - g  # d_i^2 - |c|^2
-        j = int(h.argmax())
-        dmax2 = max(float(h[j]) + c2, 0.0)
-        lower2 = max(lower2, float(a @ q[act[:n]]) - c2)
+        j, dmax2, dual = gap(alpha[:n], n)
+        lower2 = max(lower2, dual)
         if dmax2 <= threshold * lower2 or steps == cap:
             break
         steps += 1
@@ -196,7 +207,7 @@ def approx_meb(
             old, H = H, np.empty((2 * size + 1, 2 * size + 1))
             H[: n + 1, : n + 1], size = old, 2 * size
         # Border the system with j: H gains s * w w' with w = [H v; -1].
-        rows[n + 1] = cached[j] if j in cached else gram_row(j)
+        rows[n + 1] = gram_row(j)
         v = rows[: n + 1, j]
         w = np.concatenate((H[: n + 1, : n + 1] @ v, [-1.0]))
         s = 1.0 / (2.0 * (q[j] + lam) - float(v @ w[:-1]))
@@ -210,24 +221,29 @@ def approx_meb(
             alpha[:2] = 0.5
             continue
         alpha[n - 1] = 0.0
-        while True:
+        target = H[1 : n + 1, 0] + H[1 : n + 1, 1 : n + 1] @ q[act[:n]]
+        while (out := (target <= 0.0).nonzero()[0]).size:
             a = alpha[:n]
-            target = H[1 : n + 1, 0] + H[1 : n + 1, 1 : n + 1] @ q[act[:n]]
-            out = (target <= 0.0).nonzero()[0]
-            if out.size == 0:
-                a[:] = target
-                break
             ratios = a[out] / (a[out] - target[out])
             k = int(out[ratios.argmin()])
             a += float(ratios.min()) * (target - a)
-            col = H[: n + 1, k + 1].copy()
-            H[: n + 1, : n + 1] -= col[:, None] * (col / col[k + 1])
-            # Drop point k: shift the later entries down one place.
-            H[k + 1 : n, : n + 1] = H[k + 2 : n + 1, : n + 1]
-            H[:n, k + 1 : n] = H[:n, k + 2 : n + 1]
-            rows[k + 1 : n] = rows[k + 2 : n + 1]
-            act[k : n - 1], alpha[k : n - 1] = act[k + 1 : n], alpha[k + 1 : n]
+            target = drop(k, n)
             n -= 1
+        alpha[:n] = target
+    # Trim a warm core: drop the lightest point while every weight stays
+    # positive and the certificate holds for the new weights, normalised.
+    while warmed and n > 1 and dmax2 <= threshold * lower2:
+        saved = [x.copy() for x in (H[: n + 1, : n + 1], rows[: n + 1], act, alpha)]
+        target = drop(int(alpha[:n].argmin()), n)
+        n -= 1
+        a = target / target.sum()
+        _, far2, dual = gap(a, n)
+        if (target > 0.0).all() and far2 <= threshold * max(lower0, dual):
+            alpha[:n] = a
+        else:
+            n += 1
+            H[: n + 1, : n + 1], rows[: n + 1], act, alpha = saved
+            break
 
     # Reconstruct the center from the weights and measure the exact max
     # distance; any drift in the Gram-form distances drops out here.

@@ -131,6 +131,25 @@ def test_data_errors_exit_2(tmp_path, capsys):
     )
 
 
+def test_train_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # An index whose dense points (32 GB each) the host refuses: the refusal
+    # is simulated at np.zeros, so nothing that large is allocated.
+    zeros = np.zeros
+
+    def refusing_zeros(shape, *args, **kwargs):
+        if np.prod(shape) > 10**9:
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refusing_zeros)
+    data = tmp_path / "wide.txt"
+    data.write_text("+1 4000000000:1\n")
+    assert run_cli(["train", "--data", str(data), "--model", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory for dense points of 4000000001 ")
+    assert "Traceback" not in err
+
+
 def assert_same_cover(model, reference):
     """Radius, center bytes, slack items and member ids equal, ball by ball."""
     assert len(model.cover.cores) == len(reference.cover.cores)

@@ -347,8 +347,26 @@ def test_approx_meb_warm_from_the_last_core_meets_the_cold_contract():
         cold, _ = approx_meb(pts, 1e-3)
         farthest2 = max(distance2(ball.center, p) for p in pts)
         assert farthest2 <= ball.radius**2 * (1.0 + 1e-12)
-        assert (convex_weights(ball, warm_core, sw) > 0.0).all()
+        a = convex_weights(ball, warm_core, sw)
+        assert (a > 0.0).all()
         assert ball.radius <= 1.001 * cold.radius, f"trial {trial}"
+        # The certificate of the final core's own weights.
+        start = max(distance2(Center(pts[0].explicit, {pts[0].id: sw}), p) for p in pts)
+        dual = sum(w * distance2(ball.center, p) for w, p in zip(a, warm_core.members))
+        lower2 = max(0.25 * start, dual)
+        assert ball.radius**2 <= (1.0 + 1e-3) ** 2 * lower2 * (1.0 + 1e-9), trial
+
+
+def test_approx_meb_warm_trim_certifies_normalised_weights():
+    # Four copies of one point and three of another, 2 apart, warm from all
+    # seven: the optimal radius is 1.  A trim that certified the downdated
+    # weights without normalising them to sum to 1 returned 1.0068 here (a
+    # case the warm-subset property test found).
+    a, b = -0.810946618206467, 1.1890533817935331
+    ids = np.random.default_rng(7).permutation(21)[:7]
+    pts = [raw([x], int(i)) for x, i in zip([a, a, a, b, b, a, b], ids)]
+    ball, _ = approx_meb(pts, 1e-4, warm=[pts[k] for k in (3, 1, 2, 0, 4, 5, 6)])
+    assert ball.radius <= (1.0 + 1e-4) * 1.0
 
 
 def test_approx_meb_small_ball_far_from_the_origin():
