@@ -27,7 +27,7 @@ from .experiments import (
     write_csv,
 )
 from .meb import AugPoint, Ball, Center, CoreSet, approx_meb
-from .model import Model, ModelParams, feature_map, map_test_point
+from .model import Model, ModelParams, feature_map
 from .model_file import ModelFormatError, load_model, save_model
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "generate_synthetic",
     "load_libsvm",
     "load_model",
-    "map_test_point",
     "parse_libsvm",
     "run_experiment",
     "save_model",

@@ -21,13 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "AugPoint",
-    "Ball",
-    "Center",
-    "CoreSet",
-    "approx_meb",
-]
+__all__ = ["AugPoint", "Ball", "Center", "CoreSet", "approx_meb"]
 
 @dataclass(eq=False)
 class AugPoint:
@@ -84,21 +78,22 @@ def approx_meb(
     """Core-set MEB by a primal active-set method, with a duality-gap stop.
 
     The dual is ``max q.a - a.K.a`` over the simplex, with ``K`` the Gram
-    matrix of the inputs and ``q`` its diagonal; the center is ``sum a_i
-    p_i``.  Starting from the first input point, each step adds the
+    matrix of the inputs and ``q`` its diagonal; the center is ``c = sum
+    a_i p_i``.  Starting from the first input point, each step adds the
     farthest input to the active set ``A`` and solves the bordered KKT
     system ``[[0, 1'], [1, 2 K_AA]]`` for the weights that put every active
     point at one distance from the center.  When a weight would turn
     non-positive, a ratio test stops on the segment from the old weights
-    and drops that point.  The bordered matrix's inverse is updated in place
-    by Schur complements, and only the active points' Gram rows are kept,
-    in buffers that double when full, so a step costs O(|A|^2 + |A| m) and
-    one new Gram row.  Ties for the farthest point go to the lowest id.
-    ``K_AA`` carries a ridge ``lam`` on its diagonal, which is the same as
-    giving every point a private axis of length ``sqrt(lam)``, so every
-    active set is affinely independent; at ``lam = 1e-3 * delta * dmax0^2 /
-    4`` (``dmax0`` the farthest distance from the first input) the farthest
-    input is already active only once the certificate holds.
+    and drops that point.  The state is ``A``, its weights and the bordered
+    matrix's inverse, updated in place by Schur complements; distances come
+    from the center (``2 K a`` is the inputs times ``2 c``), so a step costs
+    O(m d + |A| d + |A|^2).  Ties for the farthest point go to the lowest
+    id.  ``K_AA`` carries a ridge ``lam = 1e-3 * delta * dmax0^2 / 4``
+    (``dmax0`` the farthest distance from the first input), as if every
+    point had a private axis of length ``sqrt(lam)``, so every active set
+    is affinely independent.  When rounding in the inverse puts an active
+    input farthest, or gives the entering one no positive weight, the
+    inverse is rebuilt on ``A``; if the next step fails alike, the loop stops.
 
     ``warm`` lists inputs, matched by id (else ``ValueError``).  If two or
     more get positive weights from one KKT solve, the loop starts from them;
@@ -110,8 +105,8 @@ def approx_meb(
     steps.  The lower bound combines ``dmax0 / 2`` (from any point of the
     inputs' hull, such as the first input, the farthest input is at most
     twice the optimal radius away) with the weak-duality value ``q.a -
-    a.K.a = sum a_i d_i^2`` of the current weights, warm or cold, ``d_i``
-    the distance of input ``i`` from the center.
+    a.K.a = sum a_i d_i^2`` of the current weights normalised to sum to 1,
+    ``d_i`` the distance of input ``i`` from the center.
 
     Returns the ball (radius = exact max distance from the final center to
     any input, so containment holds by construction) and the core set: the
@@ -130,27 +125,31 @@ def approx_meb(
     sw = np.array([points[k].slack_weight for k in order], dtype=float)
     sw2 = sw * sw
     start = int(order.argmin())  # where input 0 sits in id order
-    # The Gram matrix of the inputs less the start point: the MEB moves with
-    # a translation, and differences keep the distances accurate for a ball
-    # much smaller than |p|.  Copies of the start point get rows of exact
-    # zeros, so a lone point and coincident points stop at once.
+    # The inputs less the start point: the MEB moves with a translation, and
+    # differences keep the distances accurate for a ball much smaller than
+    # |p|.  Copies of the start point become exact zeros, so a lone point
+    # and coincident points stop at once.
     D = E - E[start]
     D2 = 2.0 * D
     q = np.einsum("ij,ij->i", D, D) + sw2
 
-    def gram_row(j: int) -> np.ndarray:
-        # 2 K[j, :].  Slack axes meet only on the diagonal, 2 q[j].
-        row = D @ D2[j]
-        row[j] = 2.0 * q[j]
-        return row
-
-    def gap(a: np.ndarray, n: int) -> tuple[int, float, float]:
-        # Weights a on act[:n]: the farthest input, dmax^2, sum a_i d_i^2.
-        g = a @ rows[1 : n + 1]  # 2 K a
-        c2 = 0.5 * float(a @ g[act[:n]])  # |c|^2
+    def gap(a: np.ndarray, A: np.ndarray) -> tuple[int, float, float]:
+        # Weights a on inputs A: the farthest input, dmax^2, sum a_i d_i^2.
+        g = D2 @ (a @ D[A])  # 2 K a; slack axes meet only on the diagonal
+        g[A] += 2.0 * sw2[A] * a
+        c2 = 0.5 * float(a @ g[A])  # |c|^2
         h = q - g  # d_i^2 - |c|^2
         j = int(h.argmax())
-        return j, max(float(h[j]) + c2, 0.0), float(a @ q[act[:n]]) - c2
+        return j, max(float(h[j]) + c2, 0.0), float(a @ q[A]) - c2
+
+    def kkt(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The inverse of the bordered KKT system [[0, 1'], [1, 2 K_WW]],
+        # ridge on the diagonal, and the weights it gives W.
+        M = np.ones((len(W) + 1, len(W) + 1))
+        M[0, 0], M[1:, 1:] = 0.0, D2[W] @ D[W].T
+        M[1:, 1:].flat[:: len(W) + 1] = 2.0 * (q[W] + lam)
+        Hw = np.linalg.inv(M)
+        return Hw, Hw[1:] @ np.append(1.0, q[W])
 
     def drop(k: int, n: int) -> np.ndarray:
         # Take act[k] out of the n active points (a rank-one downdate of H,
@@ -159,69 +158,68 @@ def approx_meb(
         H[: n + 1, : n + 1] -= col[:, None] * (col / col[k + 1])
         H[k + 1 : n, : n + 1] = H[k + 2 : n + 1, : n + 1]
         H[:n, k + 1 : n] = H[:n, k + 2 : n + 1]
-        rows[k + 1 : n] = rows[k + 2 : n + 1]
         act[k : n - 1], alpha[k : n - 1] = act[k + 1 : n], alpha[k + 1 : n]
         return H[1:n, 0] + H[1:n, 1:n] @ q[act[: n - 1]]
 
     cap = math.ceil(1.0 / (delta * delta))
     threshold = (1.0 + delta) ** 2
-    # From the start point, where |c|^2 = q[start], dmax0 is a pairwise
-    # distance, so half of it lower-bounds the optimal radius.
-    start_row = gram_row(start)
-    lower0 = lower2 = 0.25 * max(float((q - start_row).max()) + q[start], 0.0)
+    # From the start point dmax0 is a pairwise distance, so half of it
+    # lower-bounds the optimal radius.
+    d0 = np.where(np.arange(m) == start, 0.0, q + q[start])
+    lower0 = lower2 = 0.25 * float(d0.max())
     lam = 1e-3 * delta * lower0
 
-    init = [start], [1.0], [[-2.0 * (q[start] + lam), 1.0], [1.0, 0.0]], [start_row]
+    init = [start], [1.0], [[-2.0 * (q[start] + lam), 1.0], [1.0, 0.0]]
     if warm and lam > 0.0:  # lam = 0: every input is the start point
         wanted = list(dict.fromkeys(p.id for p in warm))  # each id once, in order
         W = np.searchsorted(ids[order], wanted)
         missing = [i for i, k in zip(wanted, W) if k == m or ids[order[k]] != i]
         if missing:
             raise ValueError(f"warm ids {missing} are not among the inputs")
-        R = np.stack([gram_row(k) for k in W])
-        # The bordered KKT system [[0, 1'], [1, 2 K_WW]], ridge on the diagonal.
-        M = np.ones((len(W) + 1, len(W) + 1))
-        M[0, 0], M[1:, 1:] = 0.0, R[:, W]
-        M[1:, 1:].flat[:: len(W) + 1] = 2.0 * (q[W] + lam)
-        Hw = np.linalg.inv(M)
-        aw = Hw[1:] @ np.append(1.0, q[W])
+        Hw, aw = kkt(W)
         if len(W) >= 2 and (aw > 0.0).all():
-            init = W, aw, Hw, R
-    # Active points act[:n], weights alpha[:n], inverse KKT H[: n + 1, : n + 1];
-    # rows: the border, then 2 K rows, so column j holds input j's entries.
+            init = W, aw, Hw
+    # Active points act[:n], weights alpha[:n], inverse KKT H[: n + 1, : n + 1].
     n = len(init[0])
     warmed, size = n > 1, max(4, n)
-    act, alpha = np.empty(size, dtype=np.intp), np.empty(size)
-    H, rows = np.empty((size + 1, size + 1)), np.ones((size + 1, m))
-    act[:n], alpha[:n], H[: n + 1, : n + 1], rows[1 : n + 1] = init
-    steps = 0
+    act, alpha, H = np.empty(size, np.intp), np.empty(size), np.empty((size + 1,) * 2)
+    act[:n], alpha[:n], H[: n + 1, : n + 1] = init
+    steps, rebuilt = 0, False
     while True:
-        j, dmax2, dual = gap(alpha[:n], n)
+        j, dmax2, dual = gap(alpha[:n] / alpha[:n].sum(), act[:n])
         lower2 = max(lower2, dual)
         if dmax2 <= threshold * lower2 or steps == cap:
             break
         steps += 1
-        if n == size:  # double the buffers
-            act, alpha = np.concatenate((act, act)), np.concatenate((alpha, alpha))
-            rows = np.concatenate((rows, rows[1:]))
-            old, H = H, np.empty((2 * size + 1, 2 * size + 1))
-            H[: n + 1, : n + 1], size = old, 2 * size
-        # Border the system with j: H gains s * w w' with w = [H v; -1].
-        rows[n + 1] = gram_row(j)
-        v = rows[: n + 1, j]
-        w = np.concatenate((H[: n + 1, : n + 1] @ v, [-1.0]))
-        s = 1.0 / (2.0 * (q[j] + lam) - float(v @ w[:-1]))
-        H[n + 1, : n + 2] = H[: n + 1, n + 1] = 0.0
-        H[: n + 2, : n + 2] += (s * w)[:, None] * w  # np.outer(s * w, w)
-        act[n] = j
-        n += 1
-        if n == 2:
-            # The MEB of two points is their midpoint.  Exact halves give a
-            # pair p, -p (a contradicting hard-margin pair) the zero center.
-            alpha[:2] = 0.5
-            continue
-        alpha[n - 1] = 0.0
-        target = H[1 : n + 1, 0] + H[1 : n + 1, 1 : n + 1] @ q[act[:n]]
+        fresh = j not in act[:n]
+        if fresh:
+            if n == len(act):  # double the buffers
+                act, alpha = np.resize(act, 2 * n), np.resize(alpha, 2 * n)
+                H = np.pad(H, (0, n))
+            # Border the system with j: H gains s * w w' with w = [H v; -1].
+            v = np.append(1.0, D2[act[:n]] @ D[j])
+            w = np.append(H[: n + 1, : n + 1] @ v, -1.0)
+            s = 1.0 / (2.0 * (q[j] + lam) - float(v @ w[:-1]))
+            H[n + 1, : n + 2] = H[: n + 1, n + 1] = 0.0
+            H[: n + 2, : n + 2] += (s * w)[:, None] * w  # np.outer(s * w, w)
+            act[n] = j
+            n += 1
+            if n == 2:
+                # The MEB of two points is their midpoint.  Exact halves give a
+                # pair p, -p (a contradicting hard-margin pair) the zero center.
+                alpha[:2], rebuilt = 0.5, False
+                continue
+            alpha[n - 1] = 0.0
+            target = H[1 : n + 1, 0] + H[1 : n + 1, 1 : n + 1] @ q[act[:n]]
+        stuck = not fresh or target[-1] <= 0.0
+        if stuck:
+            # In exact arithmetic j is outside A and gets a positive weight, so
+            # H has drifted: rebuild it on A less j; after a rebuild, stop.
+            if rebuilt:
+                break
+            n -= fresh
+            H[: n + 1, : n + 1], target = kkt(act[:n])
+        rebuilt = stuck
         while (out := (target <= 0.0).nonzero()[0]).size:
             a = alpha[:n]
             ratios = a[out] / (a[out] - target[out])
@@ -233,17 +231,16 @@ def approx_meb(
     # Trim a warm core: drop the lightest point while every weight stays
     # positive and the certificate holds for the new weights, normalised.
     while warmed and n > 1 and dmax2 <= threshold * lower2:
-        saved = [x.copy() for x in (H[: n + 1, : n + 1], rows[: n + 1], act, alpha)]
+        saved = act[:n].copy(), alpha[:n].copy()
         target = drop(int(alpha[:n].argmin()), n)
         n -= 1
         a = target / target.sum()
-        _, far2, dual = gap(a, n)
-        if (target > 0.0).all() and far2 <= threshold * max(lower0, dual):
-            alpha[:n] = a
-        else:
+        _, far2, dual = gap(a, act[:n])
+        if not ((target > 0.0).all() and far2 <= threshold * max(lower0, dual)):
             n += 1
-            H[: n + 1, : n + 1], rows[: n + 1], act, alpha = saved
+            act[:n], alpha[:n] = saved
             break
+        alpha[:n] = a
 
     # Reconstruct the center from the weights and measure the exact max
     # distance; any drift in the Gram-form distances drops out here.

@@ -23,9 +23,8 @@ from .cover import BlurredBallCover, Lookahead
 from .data import SparseVector, TrainingExample
 from .meb import AugPoint
 
-__all__ = ["Model", "ModelParams", "feature_map", "map_test_point"]
+__all__ = ["Model", "ModelParams", "feature_map"]
 
-TEST_POINT_ID = -1
 QUERY_CHUNK = 256  # queries whose indices and values predict concatenates at once
 MARGIN2_RTOL = 1e-9  # margin^2 / kappa^2 at or below which a ball separates nothing
 
@@ -126,11 +125,6 @@ def feature_map(
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y!r}")
     return AugPoint(_augment(x, y, params), params.slack_weight, point_id, label=y)
-
-
-def map_test_point(x: SparseVector, params: ModelParams) -> AugPoint:
-    """Map an unlabeled query to ``[x_hat ; 1]`` with no slack component."""
-    return AugPoint(_augment(x, 1, params), 0.0, TEST_POINT_ID)
 
 
 @dataclass(eq=False)

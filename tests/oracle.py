@@ -7,8 +7,8 @@ the definitions of the augmented space, the all-points-by-all-balls escape
 test whose decisions ``escapes`` must repeat bit for bit, and an exact
 minimum enclosing ball for dimension <= 3 to measure ``approx_meb``
 against.  It also holds the small views the tests read and the library does
-not: a dense copy of a sparse vector, a point's squared norm and a cover's
-list of balls; and the single-pass perceptron, the baseline that the
+not: a dense copy of a sparse vector, a point's squared norm, a query's
+mapped point and a cover's list of balls; and the single-pass perceptron, the baseline that the
 acceptance criteria and the experiment demo score the trainer against.
 """
 
@@ -23,7 +23,9 @@ import numpy as np
 from bbsvm.cover import BlurredBallCover
 from bbsvm.data import Dataset, SparseVector, TrainingExample
 from bbsvm.meb import AugPoint, Ball, Center
-from bbsvm.model import ModelParams, map_test_point
+from bbsvm.model import ModelParams, _augment
+
+TEST_POINT_ID = -1
 
 
 def to_dense(x: SparseVector, dim: int) -> np.ndarray:
@@ -36,6 +38,11 @@ def to_dense(x: SparseVector, dim: int) -> np.ndarray:
 def point_norm2(p: AugPoint) -> float:
     """Squared norm of a point: its explicit block plus its slack axis."""
     return float(p.explicit @ p.explicit) + p.slack_weight**2
+
+
+def map_test_point(x: SparseVector, params: ModelParams) -> AugPoint:
+    """Map an unlabeled query to ``[x_hat ; 1]`` with no slack component."""
+    return AugPoint(_augment(x, 1, params), 0.0, TEST_POINT_ID)
 
 
 def balls(cover: BlurredBallCover) -> list[Ball]:

@@ -14,8 +14,14 @@ from bbsvm.cover import BlurredBallCover, Lookahead
 from bbsvm.data import Dataset, generate_synthetic, load_libsvm, shuffled
 from bbsvm.experiments import epsilon_sweep, run_experiment
 from bbsvm.meb import AugPoint, approx_meb
-from bbsvm.model import Model, ModelParams, feature_map, map_test_point
-from oracle import exact_meb_small, expansion_contains, perceptron_stream, support
+from bbsvm.model import Model, ModelParams, feature_map
+from oracle import (
+    exact_meb_small,
+    expansion_contains,
+    map_test_point,
+    perceptron_stream,
+    support,
+)
 
 DATASET_DIR = Path(__file__).resolve().parents[1] / "datasets"
 

@@ -1,6 +1,8 @@
 import math
+import signal
 import time
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -369,6 +371,49 @@ def test_approx_meb_warm_trim_certifies_normalised_weights():
     assert ball.radius <= (1.0 + 1e-4) * 1.0
 
 
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the body runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_approx_meb_returns_at_delta_1e7_on_three_points():
+    # After a near-singular downdate the weights summed to 0.99999971 here:
+    # the dual overstated the lower bound, the inverse kept an active point
+    # farthest, and the loop re-added it until the cap of 10^14 steps.
+    vals = [-1.099861376574743, -1.7835165294861448, 0.9139667610676986]
+    pts = [raw([x], i) for x, i in zip(vals, [8, 2, 5])]
+    with time_limit(5):
+        ball, _ = approx_meb(pts, 1e-7)
+    assert ball.radius <= (1.0 + 1e-7) * 1.3487416452769216
+
+
+def test_approx_meb_at_delta_1e7_matches_the_oracle():
+    rng = np.random.default_rng(1307)
+    with time_limit(10):
+        for instance in range(120):
+            dim, m = int(rng.integers(1, 4)), int(rng.integers(2, 25))
+            vecs = rng.normal(size=(m, dim))
+            ids = rng.permutation(3 * m)[:m]
+            ball, _ = approx_meb([raw(v, int(i)) for v, i in zip(vecs, ids)], 1e-7)
+            dists = np.linalg.norm(vecs - ball.center.explicit, axis=1)
+            assert dists.max() <= ball.radius * (1.0 + 1e-12), f"instance {instance}"
+            _, r_star = exact_meb_small(vecs)
+            assert ball.radius <= (1.0 + 1e-7) * r_star * (1.0 + 1e-9), (
+                f"instance {instance}"
+            )
+
+
 def test_approx_meb_small_ball_far_from_the_origin():
     # A spread of 1e-6 at distance 1e4, and copies of one unit vector a few
     # ulps apart: Gram entries of the raw points would cancel to noise.
@@ -409,7 +454,7 @@ def test_approx_meb_reruns_bit_for_bit():
 
 def test_approx_meb_on_many_points_builds_no_gram_matrix():
     # 5,000 inputs: an (m, m) float array would take 200 MB.  The solver
-    # keeps the Gram rows of its active points only.
+    # takes distances from the center and keeps no Gram rows.
     vecs = np.random.default_rng(31).normal(size=(5000, 3))
     pts = [raw(v, i) for i, v in enumerate(vecs)]
     tracemalloc.start()

@@ -29,10 +29,9 @@ from bbsvm.model import (
     _augment,
     _query_rows,
     feature_map,
-    map_test_point,
 )
 from bbsvm.model_file import load_model, save_model
-from oracle import center_dot, point_norm2, score, support, to_dense
+from oracle import center_dot, map_test_point, point_norm2, score, support, to_dense
 
 
 def sv(*values):
