@@ -135,7 +135,7 @@ def approx_meb(
 
     def gap(a: np.ndarray, A: np.ndarray) -> tuple[int, float, float]:
         # Weights a on inputs A: the farthest input, dmax^2, sum a_i d_i^2.
-        g = D2 @ (a @ D[A])  # 2 K a; slack axes meet only on the diagonal
+        g = D2 @ (a @ D.take(A, axis=0))  # 2 K a; slack axes meet only on the diagonal
         g[A] += 2.0 * sw2[A] * a
         c2 = 0.5 * float(a @ g[A])  # |c|^2
         h = q - g  # d_i^2 - |c|^2
@@ -149,7 +149,7 @@ def approx_meb(
         M[0, 0], M[1:, 1:] = 0.0, D2[W] @ D[W].T
         M[1:, 1:].flat[:: len(W) + 1] = 2.0 * (q[W] + lam)
         Hw = np.linalg.inv(M)
-        return Hw, Hw[1:] @ np.append(1.0, q[W])
+        return Hw, Hw[1:] @ np.concatenate(([1.0], q[W]))
 
     def drop(k: int, n: int) -> np.ndarray:
         # Take act[k] out of the n active points (a rank-one downdate of H,
@@ -181,7 +181,7 @@ def approx_meb(
             init = W, aw, Hw
     # Active points act[:n], weights alpha[:n], inverse KKT H[: n + 1, : n + 1].
     n = len(init[0])
-    warmed, size = n > 1, max(4, n)
+    warmed, size = n > 1, max(4, 2 * n)  # room to add points before doubling
     act, alpha, H = np.empty(size, np.intp), np.empty(size), np.empty((size + 1,) * 2)
     act[:n], alpha[:n], H[: n + 1, : n + 1] = init
     steps, rebuilt = 0, False
@@ -191,14 +191,14 @@ def approx_meb(
         if dmax2 <= threshold * lower2 or steps == cap:
             break
         steps += 1
-        fresh = j not in act[:n]
+        fresh = j not in act[:n].tolist()  # faster than NumPy's `in` here
         if fresh:
             if n == len(act):  # double the buffers
                 act, alpha = np.resize(act, 2 * n), np.resize(alpha, 2 * n)
                 H = np.pad(H, (0, n))
             # Border the system with j: H gains s * w w' with w = [H v; -1].
-            v = np.append(1.0, D2[act[:n]] @ D[j])
-            w = np.append(H[: n + 1, : n + 1] @ v, -1.0)
+            v = np.concatenate(([1.0], np.dot(D.take(act[:n], axis=0), D2[j])))
+            w = np.concatenate((H[: n + 1, : n + 1] @ v, [-1.0]))
             s = 1.0 / (2.0 * (q[j] + lam) - float(v @ w[:-1]))
             H[n + 1, : n + 2] = H[: n + 1, n + 1] = 0.0
             H[: n + 2, : n + 2] += (s * w)[:, None] * w  # np.outer(s * w, w)
