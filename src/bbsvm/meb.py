@@ -236,11 +236,12 @@ def approx_meb(
         n -= 1
         a = target / target.sum()
         _, far2, dual = gap(a, act[:n])
-        if not ((target > 0.0).all() and far2 <= threshold * max(lower0, dual)):
+        if (target > 0.0).all() and far2 <= threshold * max(lower0, dual):
+            alpha[:n] = a
+        else:
             n += 1
             act[:n], alpha[:n] = saved
             break
-        alpha[:n] = a
 
     # Reconstruct the center from the weights and measure the exact max
     # distance; any drift in the Gram-form distances drops out here.
