@@ -14,7 +14,16 @@ not escape, and only a point outside it is measured against all balls.  The
 order changes no decision: a point is inside when it lies in any expanded
 ball, the newest ball's distance is computed by the same expression (same
 bits) as its row of the all-balls test, and no merge discards the ball it
-makes.  The buffer test stops at its first escaping point.
+makes.
+
+A buffer of two or more points meets the newest ball as one block: its rows
+are subtracted from the newest center, squared in place and summed along
+each row.  A C-contiguous row sum over the last axis is NumPy's pairwise sum
+of that row, so each row carries the bits of ``escapes``' own sum, and the
+slack terms are added in the same order.  Only the rows outside the newest
+ball go on to ``escapes``, and the buffer merges iff one of them escapes: the
+decision of testing every point alone.  A one-point buffer (L = 0 or 1) goes
+straight to ``escapes``, since building a block costs more than it saves.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from .meb import AugPoint, CoreSet, approx_meb
 
 __all__ = ["BlurredBallCover", "Lookahead"]
 
+_row_sum = np.add.reduce  # the pairwise sum of ``ndarray.sum``, without its wrapper
+
 
 @dataclass(eq=False)
 class Lookahead:
@@ -34,10 +45,10 @@ class Lookahead:
 
     capacity: int
     pending: list[AugPoint] = field(default_factory=list)
+    effective_capacity: int = field(init=False)
 
-    @property
-    def effective_capacity(self) -> int:
-        return max(self.capacity, 1)
+    def __post_init__(self):
+        self.effective_capacity = max(self.capacity, 1)
 
 
 class BlurredBallCover:
@@ -67,11 +78,13 @@ class BlurredBallCover:
         if self._centers is None:
             return True
         sw2 = p.slack_weight * p.slack_weight
-        d = self._centers[-1] - p.explicit
-        if (d * d).sum() + self._newest_slack2 + sw2 <= self._newest_limit2:
+        d = self._newest - p.explicit
+        d *= d
+        if _row_sum(d) + self._newest_slack2 + sw2 <= self._newest_limit2:
             return False
         d = self._centers - p.explicit
-        d2 = (d * d).sum(axis=1)
+        d *= d
+        d2 = _row_sum(d, axis=1)
         d2 += self._center_slack2
         d2 += sw2
         return bool((d2 > self._limits2).all())
@@ -85,9 +98,10 @@ class BlurredBallCover:
         ``points_seen`` before the offer): the escape test ignores slack axes
         a point shares with a center, and a merge keeps one point of each id.
         """
-        buffer.pending.append(p)
+        pending = buffer.pending
+        pending.append(p)
         self.points_seen += 1
-        if len(buffer.pending) < buffer.effective_capacity:
+        if len(pending) < buffer.effective_capacity:
             return False
         return self._process(buffer)
 
@@ -98,11 +112,23 @@ class BlurredBallCover:
         return self._process(buffer)
 
     def _process(self, buffer: Lookahead) -> bool:
-        merged = False
-        if any(map(self.escapes, buffer.pending)):
-            self.merge_update(list(buffer.pending))
-            merged = True
-        buffer.pending.clear()
+        """Merge iff a pending point escapes (two or more points are first
+        tested as one block, see the module docstring); clear the buffer."""
+        pending = buffer.pending
+        if len(pending) == 1 or self._centers is None:
+            merged = self.escapes(pending[0])
+        else:
+            D = np.array([p.explicit for p in pending], dtype=np.float64)
+            np.subtract(self._newest, D, out=D)
+            D *= D
+            d2 = _row_sum(D, axis=1)
+            d2 += self._newest_slack2
+            d2 += [p.slack_weight * p.slack_weight for p in pending]
+            outside = (d2 > self._newest_limit2).nonzero()[0]
+            merged = any(self.escapes(pending[i]) for i in outside)
+        if merged:
+            self.merge_update(list(pending))
+        pending.clear()
         return merged
 
     def merge_update(self, escaped_buffer: list[AugPoint]) -> None:
@@ -138,11 +164,13 @@ class BlurredBallCover:
     def _refresh_cache(self) -> None:
         if not self.cores:
             self._centers = None
+            self._newest = None
             self._center_slack2 = None
             self._radii = None
             self._limits2 = None
             return
         self._centers = np.stack([cs.ball.center.explicit for cs in self.cores])
+        self._newest = self._centers[-1]
         self._center_slack2 = np.array(
             [cs.ball.center.slack_norm2() for cs in self.cores]
         )

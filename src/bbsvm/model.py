@@ -71,6 +71,9 @@ def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
     Raises ``ValueError`` unless ``x`` has a finite nonzero norm with a
     finite reciprocal, so a NaN or infinite value can never reach a ball,
     and unless its indices lie in 1..dim (index dim+1 is the bias slot).
+    The values are written through the dim-wide view of the block, so NumPy
+    refuses an index above dim anywhere in the row; of the indices below 1
+    only the first is checked, which covers every row with sorted indices.
     """
     norm = x.norm()
     if not 0.0 < norm < math.inf or 1.0 / norm == math.inf:
@@ -79,14 +82,19 @@ def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
             f"reciprocal, got {norm!r}"
         )
     dim = params.dim
-    if x.indices.size and x.indices[-1] > dim:
-        raise ValueError(f"feature index {x.indices[-1]} exceeds dimension {dim}")
     if x.indices.size and x.indices[0] < 1:
         raise ValueError(f"feature index {x.indices[0]} is below 1")
     # In place: the bits of dense ``x`` times ``sign * (1/norm)``, -0.0 zeros included.
     explicit = np.zeros(dim + 1)
-    explicit[x.indices - 1] = x.values
-    explicit[:-1] *= sign * (1.0 / norm)
+    features = explicit[:-1]
+    try:
+        features[x.indices - 1] = x.values
+    except IndexError:  # name the index; an unsorted row may also wrap below 1
+        top = x.indices.max()
+        if top > dim:
+            raise ValueError(f"feature index {top} exceeds dimension {dim}") from None
+        raise ValueError(f"feature index {x.indices.min()} is below 1") from None
+    features *= sign * (1.0 / norm)
     explicit[-1] = float(sign)
     return explicit
 
@@ -146,13 +154,15 @@ class Model:
         Each example is mapped with its stream position as id and offered
         to the cover; a final partial-buffer flush runs one last merge check.
         """
+        params, cover, buffer = self.params, self.cover, self.buffer
+        offer = cover.offer
         for position, ex in enumerate(examples):
-            try:
-                p = feature_map(ex.x, ex.y, self.params, self.cover.points_seen)
+            try:  # the module global, looked up per point, so a patched one is used
+                p = feature_map(ex.x, ex.y, params, cover.points_seen)
             except ValueError as err:
                 raise ValueError(f"training example {position}: {err}") from err
-            self.cover.offer(self.buffer, p)
-        self.cover.flush(self.buffer)
+            offer(buffer, p)
+        cover.flush(buffer)
         return self
 
     def predict(self, xs: Sequence[SparseVector]) -> np.ndarray:

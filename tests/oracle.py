@@ -4,9 +4,9 @@ The library computes distances, escape tests and scores in vectorized form
 only (``BlurredBallCover.escapes``, ``Model.predict``).  This module keeps
 the plain one-point, one-ball versions of the same formulas, written from
 the definitions of the augmented space, the all-points-by-all-balls escape
-test whose decisions ``escapes`` must repeat bit for bit, and an exact
-minimum enclosing ball for dimension <= 3 to measure ``approx_meb``
-against.  It also holds the small views the tests read and the library does
+test whose decisions ``escapes`` must repeat bit for bit, a cover that
+decides each buffer point by point, and an exact minimum enclosing ball
+for dimension <= 3 to measure ``approx_meb`` against.  It also holds the small views the tests read and the library does
 not: a dense copy of a sparse vector, a point's squared norm, a query's
 mapped point and a cover's list of balls; and the single-pass perceptron, the baseline that the
 acceptance criteria and the experiment demo score the trainer against.
@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from bbsvm.cover import BlurredBallCover
+from bbsvm.cover import BlurredBallCover, Lookahead
 from bbsvm.data import Dataset, SparseVector, TrainingExample
 from bbsvm.meb import AugPoint, Ball, Center
 from bbsvm.model import ModelParams, _augment
@@ -137,6 +137,18 @@ def escape_mask(cover: BlurredBallCover, pts: Sequence[AugPoint]) -> np.ndarray:
     """Per point: outside every (1+eps)-expanded retained ball."""
     d2, limits2 = escape_distances(cover, pts)
     return (d2 > limits2[None, :]).all(axis=1)
+
+
+class PerPointCover(BlurredBallCover):
+    """The cover with its former buffer decision: ``escapes`` on every
+    pending point in turn, with no block test against the newest ball."""
+
+    def _process(self, buffer: Lookahead) -> bool:
+        merged = any(map(self.escapes, buffer.pending))
+        if merged:
+            self.merge_update(list(buffer.pending))
+        buffer.pending.clear()
+        return merged
 
 
 _combo_cache: dict[tuple[int, int], np.ndarray] = {}

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbsvm.data import generate_synthetic, load_libsvm
+import bbsvm.data
+from bbsvm.data import format_libsvm, generate_synthetic, load_libsvm
 from bbsvm.model import Model, ModelParams
 from bbsvm.model_file import load_model, save_model
 
@@ -33,6 +34,24 @@ def test_bench_tracer_restores_the_originals_and_nests_spans(tmp_path):
 
 def test_bench_generated_rows_parse_back_exactly(tmp_path):
     bench_tests.test_generated_rows_parse_back_exactly(tmp_path)
+
+
+@pytest.mark.parametrize("C", [10.0, math.inf])
+def test_bench_counts_at_a_lookahead_of_ten(tmp_path, C):
+    # With a partial last buffer, the bench must still count one feature map
+    # a point, one escape check a full buffer plus one for the flush, and
+    # one solver call a merge.
+    n = 95
+    noise = 0.0 if C == math.inf else 0.05
+    path = tmp_path / "train.svm"
+    path.write_text(format_libsvm(generate_synthetic(n, 8, 0.05, noise, seed=3)))
+    params = ModelParams(dim=8, epsilon=0.01, C=C, lookahead=10)
+    with bench_tests.spans.Tracer() as tracer:
+        Model(params).train_stream(bbsvm.data.load_libsvm(path).examples)  # traced
+    metrics = bench_tests.spans.layer_metrics(tracer.spans)
+    assert metrics["model.feature_map_calls"] == n
+    assert metrics["cover.escape_checks"] == n // 10 + 1
+    assert metrics["cover.merges"] == metrics["meb.calls"] > 0
 
 
 @pytest.mark.parametrize("name", ["solve", "soft-l0"])

@@ -10,6 +10,7 @@ from bbsvm.data import generate_synthetic
 from bbsvm.meb import AugPoint, Ball, Center, CoreSet, approx_meb
 from bbsvm.model import Model, ModelParams, feature_map
 from oracle import (
+    PerPointCover,
     balls,
     distance2,
     escape_distances,
@@ -167,6 +168,106 @@ def test_points_on_an_older_expanded_boundary_count_as_inside(C, lookahead):
     assert len(pts) >= 20
     assert not escape_mask(cover, pts).any()
     assert not any(cover.escapes(p) for p in pts)
+
+
+def cover_state(cover):
+    """Radius, center bytes, slack items and member ids of every ball."""
+    return [
+        (
+            np.float64(cs.ball.radius).tobytes(),
+            cs.ball.center.explicit.tobytes(),
+            np.array(list(cs.ball.center.slack_coeffs.items())).tobytes(),
+            [p.id for p in cs.members],
+        )
+        for cs in cover.cores
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    dim=st.integers(2, 8),
+    C=st.sampled_from([math.inf, 10.0]),
+    eps=st.sampled_from([0.1, 0.01, 0.001]),
+    lookahead=st.sampled_from([0, 1, 2, 3, 10]),
+)
+def test_the_buffer_block_test_trains_the_per_point_cover(
+    seed, n, dim, C, eps, lookahead
+):
+    # Testing a buffer against the newest ball as one block, and only its
+    # rows outside it point by point, must merge exactly when testing every
+    # point alone does, so both covers are the same, bit for bit.
+    noise = 0.0 if C == math.inf else 0.05
+    ds = generate_synthetic(n, dim, 0.0, noise, seed=seed)
+    params = ModelParams(dim=dim, epsilon=eps, C=C, lookahead=lookahead)
+    model = Model(params)
+    reference = Model(params)
+    reference.cover = PerPointCover(params.epsilon, params.delta)
+    model.train_stream(ds.examples)
+    reference.train_stream(ds.examples)
+    assert cover_state(model.cover) == cover_state(reference.cover)
+
+
+def _on_newest_boundary(cover, slack_weight, first_id, tries=600):
+    """Fresh points whose reference squared distance to the newest ball equals
+    its (1+eps)-expanded radius squared exactly, and the first points past
+    it on the same rays that escape every ball."""
+    rng = np.random.default_rng(7)
+    centers, center_slack2, radii = cover.query_arrays()
+    limits2 = ((1.0 + cover.epsilon) * radii) ** 2
+    on, past = [], []
+
+    def at(t, u):
+        p = AugPoint(centers[-1] + t * u, slack_weight, first_id + len(on) + len(past))
+        (d2,), _ = escape_distances(cover, [p])
+        return p, d2[-1]
+
+    for _ in range(tries):
+        u = rng.standard_normal(centers.shape[1])
+        u /= np.linalg.norm(u)
+        t = math.sqrt(limits2[-1] - center_slack2[-1] - slack_weight**2)
+        for _ in range(64):  # walk t by ulps onto the boundary
+            p, d2 = at(t, u)
+            if d2 == limits2[-1]:
+                on.append(p)
+                while d2 <= limits2[-1]:  # then just past it
+                    t = math.nextafter(t, math.inf)
+                    p, d2 = at(t, u)
+                if escape_mask(cover, [p])[0]:
+                    past.append(p)
+                break
+            t = math.nextafter(t, 0.0 if d2 > limits2[-1] else math.inf)
+    return on, past
+
+
+@pytest.mark.parametrize("C", [math.inf, 10.0])
+def test_a_buffer_merges_iff_a_point_past_the_newest_boundary_escapes(C):
+    # Points on the newest ball's expanded boundary count as inside, and
+    # points one step past it escape; each is buffered with points inside
+    # the newest ball, at every position of the buffer.  A block whose row
+    # sums lose the bits of ``escapes`` misplaces some of them.
+    model, fresh = _trained(C, 10)
+    cover = model.cover
+    first = cover.points_seen
+    inside = [feature_map(ex.x, ex.y, model.params, first + k) for k, ex in enumerate(fresh)]
+    d2, limits2 = escape_distances(cover, inside)
+    inside = [p for p, row in zip(inside, d2) if row[-1] <= limits2[-1]]
+    on, past = _on_newest_boundary(cover, model.params.slack_weight, first + len(fresh))
+    assert len(on) >= 200 and len(past) >= 30 and len(inside) >= 10
+    assert not escape_mask(cover, on).any()
+    merges = []
+    cover.merge_update = merges.append  # record the decision; keep the cover
+    for capacity in (2, 3, 10):
+        for expected, pts in [(False, on), (True, past)]:
+            for k, p in enumerate(pts):
+                buffer = Lookahead(capacity)
+                others = inside[k % (len(inside) - capacity + 2) :][: capacity - 1]
+                slot = k % capacity
+                for q in [*others[:slot], p, *others[slot:]]:
+                    merged = cover.offer(buffer, q)
+                assert merged is expected and not buffer.pending
+    assert len(merges) == 3 * len(past)
 
 
 # ----------------------------------------------------------------------- offer

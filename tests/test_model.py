@@ -99,6 +99,21 @@ def test_feature_map_rejects_indices_outside_one_to_dim(indices, message):
         model.predict([ok.x, x])
 
 
+@pytest.mark.parametrize("index", [4, 9])
+def test_an_index_above_dim_inside_an_unsorted_row_is_refused(index):
+    # Index dim+1 used to land silently in the bias slot, which the label
+    # overwrites, and a larger one raised a bare IndexError that
+    # train_stream did not tag with the example's position.
+    params = ModelParams(dim=3)
+    x = SparseVector(np.array([1, index, 3]), np.array([1.0, 1.0, 1.0]))
+    message = f"feature index {index} exceeds dimension 3"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        feature_map(x, 1, params, 0)
+    ok = TrainingExample(sv(1.0, 0.5, 0.0), 1)
+    with pytest.raises(ValueError, match=f"^training example 1: {message}$"):
+        Model(params).train_stream([ok, TrainingExample(x, -1)])
+
+
 def test_feature_map_negative_label_matches_dense_formula_bit_for_bit():
     # The block is filled in place; it must equal the dense product
     # to_dense(dim) * (y * (1/norm)), including the -0.0 of its zeros.
@@ -473,8 +488,8 @@ def test_predict_names_the_first_bad_query_across_chunks(first, later):
     ],
 )
 def test_predict_checks_every_index_of_an_unsorted_query(index, message):
-    # Index dim+1 would land in the bias slot and dim+5 outside the block;
-    # neither is at an end of the indices, which is all _augment checks.
+    # Index dim+1 would land in the bias slot and dim+5 outside the block,
+    # and neither is at an end of the indices.
     params = ModelParams(dim=4)
     ok = TrainingExample(sv(1.0, 0.5, 0.0, 2.0), 1)
     model = Model(params).train_stream([ok])
