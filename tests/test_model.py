@@ -99,14 +99,20 @@ def test_feature_map_rejects_indices_outside_one_to_dim(indices, message):
         model.predict([ok.x, x])
 
 
-@pytest.mark.parametrize("index", [4, 9])
-def test_an_index_above_dim_inside_an_unsorted_row_is_refused(index):
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (4, "feature index 4 exceeds dimension 3"),
+        (9, "feature index 9 exceeds dimension 3"),
+        (-10, "feature index -10 is below 1"),
+    ],
+)
+def test_an_index_outside_the_block_inside_an_unsorted_row_is_refused(index, message):
     # Index dim+1 used to land silently in the bias slot, which the label
-    # overwrites, and a larger one raised a bare IndexError that
+    # overwrites, and one outside the block raised a bare IndexError that
     # train_stream did not tag with the example's position.
     params = ModelParams(dim=3)
     x = SparseVector(np.array([1, index, 3]), np.array([1.0, 1.0, 1.0]))
-    message = f"feature index {index} exceeds dimension 3"
     with pytest.raises(ValueError, match=f"^{message}$"):
         feature_map(x, 1, params, 0)
     ok = TrainingExample(sv(1.0, 0.5, 0.0), 1)
