@@ -30,9 +30,10 @@ print(f"cover: {len(model.cover.cores)} balls, "
 
 print("\nball radii and implied margins (sqrt(kappa^2 - r^2)):")
 for cs in model.cover.cores[:8]:
-    r = cs.ball.radius
+    r, c = cs.ball.radius, cs.ball.center
     margin = math.sqrt(max(params.kappa**2 - r * r, 0.0))
-    print(f"  radius {r:.4f} -> margin {margin:.4f}, |center| {math.sqrt(cs.ball.center.norm2()):.4f}")
+    norm = math.sqrt(float(c.explicit @ c.explicit) + c.slack_norm2)
+    print(f"  radius {r:.4f} -> margin {margin:.4f}, |center| {norm:.4f}")
 
 print("\nthree queries and their mirrors -x:")
 queries = [ex.x for ex in test.examples[:3]]

@@ -6,7 +6,7 @@ feature space, using a blurred ball cover for sublinear space; classification
 aggregates the linear separators encoded by the retained ball centers.
 """
 
-from .cover import BlurredBallCover, Lookahead
+from .cover import BlurredBallCover
 from .data import (
     DataFormatError,
     Dataset,
@@ -42,7 +42,6 @@ __all__ = [
     "DataFormatError",
     "Dataset",
     "ExperimentReport",
-    "Lookahead",
     "Model",
     "ModelFormatError",
     "ModelParams",

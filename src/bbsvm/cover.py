@@ -139,25 +139,16 @@ class BlurredBallCover:
         resulting pair, then discards every older pair whose ball radius
         falls below eps/4 of the new radius.
         """
-        by_id: dict[int, AugPoint] = {}
-        for p in escaped_buffer:
-            by_id.setdefault(p.id, p)
-        for p in self.all_core_points():
-            by_id.setdefault(p.id, p)
+        by_id: dict[int, AugPoint] = {}  # one point an id: buffer, then cores in order
+        for members in [escaped_buffer, *(cs.members for cs in self.cores)]:
+            for p in members:
+                by_id.setdefault(p.id, p)
         warm = self.cores[-1].members if self.cores else None
         ball, core = approx_meb(list(by_id.values()), self.delta, warm=warm)
         self.cores.append(core)
         cut = (self.epsilon / 4.0) * ball.radius
         self.cores = [cs for cs in self.cores if cs.ball.radius >= cut or cs is core]
         self._refresh_cache()
-
-    def all_core_points(self) -> list[AugPoint]:
-        """All retained core-set members, deduplicated by id, in cover order."""
-        by_id: dict[int, AugPoint] = {}
-        for cs in self.cores:
-            for p in cs.members:
-                by_id.setdefault(p.id, p)
-        return list(by_id.values())
 
     # -- cached query arrays ------------------------------------------------
 
@@ -171,9 +162,7 @@ class BlurredBallCover:
             return
         self._centers = np.stack([cs.ball.center.explicit for cs in self.cores])
         self._newest = self._centers[-1]
-        self._center_slack2 = np.array(
-            [cs.ball.center.slack_norm2() for cs in self.cores]
-        )
+        self._center_slack2 = np.array([cs.ball.center.slack_norm2 for cs in self.cores])
         self._radii = np.array([cs.ball.radius for cs in self.cores])
         limits = (1.0 + self.epsilon) * self._radii
         self._limits2 = limits * limits

@@ -28,17 +28,17 @@ class AugPoint:
     """A point of the augmented space: dense block plus one slack axis.
 
     ``explicit`` holds the block ``[y * x_hat ; y]`` for mapped training
-    points (any dense vector for raw geometry).  ``slack_weight`` is the
-    coordinate along the point's private slack axis: 1/sqrt(C) for training
-    points under a finite soft-margin penalty, 0 for test points and for
-    C = inf.  ``id`` names the slack axis; training ids are unique
-    nonnegative stream indices, test points use -1.
+    points (any dense vector for raw geometry), so a training point's label
+    is its last coordinate.  ``slack_weight`` is the coordinate along the
+    point's private slack axis: 1/sqrt(C) for training points under a finite
+    soft-margin penalty, 0 for test points and for C = inf.  ``id`` names
+    the slack axis; training ids are unique nonnegative stream indices, test
+    points use -1.
     """
 
     explicit: np.ndarray
     slack_weight: float
     id: int
-    label: int | None = None
 
 
 @dataclass(eq=False)
@@ -47,15 +47,10 @@ class Center:
 
     explicit: np.ndarray
     slack_coeffs: dict[int, float] = field(default_factory=dict)
+    slack_norm2: float = field(init=False)  # squared norm of the slack part
 
     def __post_init__(self):  # the coefficients never change: sum them once
-        self._slack_norm2 = sum(v * v for v in self.slack_coeffs.values())
-
-    def slack_norm2(self) -> float:
-        return self._slack_norm2
-
-    def norm2(self) -> float:
-        return float(self.explicit @ self.explicit) + self.slack_norm2()
+        self.slack_norm2 = sum(v * v for v in self.slack_coeffs.values())
 
 
 @dataclass(eq=False)

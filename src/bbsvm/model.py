@@ -132,29 +132,29 @@ def feature_map(
     """
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y!r}")
-    return AugPoint(_augment(x, y, params), params.slack_weight, point_id, label=y)
+    return AugPoint(_augment(x, y, params), params.slack_weight, point_id)
 
 
 @dataclass(eq=False)
 class Model:
     """Streaming SVM state, built from ``params`` alone: the ball ``cover``,
-    whose ``points_seen`` numbers the next training point, and the lookahead
-    ``buffer``, which ``train_stream`` leaves empty.
+    whose ``points_seen`` numbers the next training point.
     """
 
     params: ModelParams
 
     def __post_init__(self):
         self.cover = BlurredBallCover(self.params.epsilon, self.params.delta)
-        self.buffer = Lookahead(self.params.lookahead)
 
     def train_stream(self, examples: Iterable[TrainingExample]) -> "Model":
         """Consume a training stream in one pass.
 
         Each example is mapped with its stream position as id and offered
-        to the cover; a final partial-buffer flush runs one last merge check.
+        to the cover through a lookahead buffer of this call; a final
+        partial-buffer flush runs one last merge check.
         """
-        params, cover, buffer = self.params, self.cover, self.buffer
+        params, cover = self.params, self.cover
+        buffer = Lookahead(params.lookahead)
         offer = cover.offer
         for position, ex in enumerate(examples):
             try:  # the module global, looked up per point, so a patched one is used
@@ -208,6 +208,3 @@ class Model:
         return [k for k, cs in enumerate(self.cover.cores)
                 if not cs.ball.center.explicit.any()
                 or kappa2 - cs.ball.radius**2 <= MARGIN2_RTOL * kappa2]
-
-    def classify(self, x: SparseVector) -> int:
-        return int(self.predict([x])[0])

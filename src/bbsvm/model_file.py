@@ -20,12 +20,13 @@ Format (UTF-8, one record per line, floats in shortest round-trip decimal):
     <id> <label> <d+1 floats> <slack_weight>   or   <id>   (s lines)
 
 A core point is written in full once, where it first appears, and as its
-bare id in later balls, which load it as the same shared point.  Every
-float round-trips exactly, so a reloaded model predicts identically and
-continues the stream as the saved model would: ``points_seen`` numbers the
-next training point and exceeds every member id, each slack id is a member
-of its ball, listed once, and points pending in the lookahead buffer refuse
-the save.
+bare id in later balls, which load it as the same shared point.  Its
+``<label>`` is the sign of its bias coordinate (the last float; 0 when that
+is not +-1), kept for older readers: loading checks it is an integer and
+reads nothing else from it.  Every float round-trips exactly, so a reloaded
+model predicts identically and continues the stream as the saved model
+would: ``points_seen`` numbers the next training point and exceeds every
+member id, and each slack id is a member of its ball, listed once.
 Versions 1 and 2 write every member in full; version 1 lacks the delta,
 lookahead and points_seen records (epsilon/2, 10, largest member id + 1).
 """
@@ -52,9 +53,6 @@ def _f(value: float) -> str:
 
 
 def save_model(model: Model, path) -> None:
-    if model.buffer.pending:
-        n = len(model.buffer.pending)
-        raise ValueError(f"{n} points are pending in the lookahead buffer; flush it")
     params = model.params
     lines = [
         f"{MAGIC} {VERSION}",
@@ -81,7 +79,8 @@ def save_model(model: Model, path) -> None:
                 lines.append(str(p.id))
                 continue
             written.add(p.id)
-            label = 0 if p.label is None else p.label
+            bias = p.explicit[-1]
+            label = int(bias) if abs(bias) == 1.0 else 0
             lines.append(
                 f"{p.id} {label} "
                 + " ".join(_f(v) for v in p.explicit)
@@ -174,10 +173,10 @@ def load_model(path) -> Model:
                 raise reader.error("core member has the wrong field count")
             pid = reader.number(parts[0], "member id", int)
             if len(parts) > 1:
-                label = reader.number(parts[1], "member label", int)
+                reader.number(parts[1], "member label", int)
                 coords = [reader.number(v, "member coordinate") for v in parts[2:-1]]
                 weight = reader.number(parts[-1], "member slack weight")
-                points[pid] = AugPoint(np.array(coords), weight, pid, label or None)
+                points[pid] = AugPoint(np.array(coords), weight, pid)
             elif pid not in points:
                 raise reader.error(f"member {pid} was not written earlier")
             members.append(points[pid])

@@ -7,8 +7,9 @@ the definitions of the augmented space, the all-points-by-all-balls escape
 test whose decisions ``escapes`` must repeat bit for bit, a cover that
 decides each buffer point by point, and an exact minimum enclosing ball
 for dimension <= 3 to measure ``approx_meb`` against.  It also holds the small views the tests read and the library does
-not: a dense copy of a sparse vector, a point's squared norm, a query's
-mapped point and a cover's list of balls; and the single-pass perceptron, the baseline that the
+not: a dense copy of a sparse vector, a point's and a center's squared
+norm, a query's mapped point, a cover's list of balls and its core point
+ids; and the single-pass perceptron, the baseline that the
 acceptance criteria and the experiment demo score the trainer against.
 """
 
@@ -40,6 +41,11 @@ def point_norm2(p: AugPoint) -> float:
     return float(p.explicit @ p.explicit) + p.slack_weight**2
 
 
+def center_norm2(c: Center) -> float:
+    """Squared norm of a center: its explicit block plus its slack part."""
+    return float(c.explicit @ c.explicit) + c.slack_norm2
+
+
 def map_test_point(x: SparseVector, params: ModelParams) -> AugPoint:
     """Map an unlabeled query to ``[x_hat ; 1]`` with no slack component."""
     return AugPoint(_augment(x, 1, params), 0.0, TEST_POINT_ID)
@@ -48,6 +54,11 @@ def map_test_point(x: SparseVector, params: ModelParams) -> AugPoint:
 def balls(cover: BlurredBallCover) -> list[Ball]:
     """The retained balls, oldest first."""
     return [cs.ball for cs in cover.cores]
+
+
+def core_point_ids(cover: BlurredBallCover) -> list[int]:
+    """Ids of the retained core points, each once, in cover order."""
+    return list(dict.fromkeys(p.id for cs in cover.cores for p in cs.members))
 
 
 def inner_product(p: AugPoint, q: AugPoint) -> float:
@@ -81,7 +92,7 @@ def distance2(c: Center, p: AugPoint) -> float:
     diff = c.explicit - p.explicit
     total = float(diff @ diff)
     coeff = c.slack_coeffs.get(p.id, 0.0)
-    total += c.slack_norm2() - coeff * coeff + (coeff - p.slack_weight) ** 2
+    total += c.slack_norm2 - coeff * coeff + (coeff - p.slack_weight) ** 2
     return total
 
 
@@ -108,7 +119,7 @@ def score(cover: BlurredBallCover, p: AugPoint) -> float:
     """
     total = 0.0
     for ball in support(cover, p):
-        norm2 = ball.center.norm2()
+        norm2 = center_norm2(ball.center)
         if norm2 > 0.0:
             total += center_dot(ball.center, p) / math.sqrt(norm2)
     return total

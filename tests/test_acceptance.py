@@ -16,6 +16,7 @@ from bbsvm.experiments import epsilon_sweep, run_experiment
 from bbsvm.meb import AugPoint, approx_meb
 from bbsvm.model import Model, ModelParams, feature_map
 from oracle import (
+    center_norm2,
     exact_meb_small,
     expansion_contains,
     map_test_point,
@@ -167,7 +168,7 @@ def test_criterion_3_separator_geometry_properties():
             model = Model(params).train_stream(ds.examples)
             kappa = params.kappa
             assert all(cs.ball.radius < kappa for cs in model.cover.cores)
-            assert all(cs.ball.center.norm2() > 0.0 for cs in model.cover.cores)
+            assert all(center_norm2(cs.ball.center) > 0.0 for cs in model.cover.cores)
             probes = generate_synthetic(500, 8, 0.0, 0.0, seed=302)
             for ex in probes.examples:
                 p = map_test_point(ex.x, params)
@@ -270,17 +271,17 @@ def test_criterion_6_sublinear_space():
     with criterion(6, "1e5-point stream at eps=0.01 keeps <= 200 balls, sublinear growth"):
         ds = generate_synthetic(100_000, 10, 0.0, 0.0, seed=600)
         params = ModelParams(dim=10, epsilon=0.01, C=math.inf, lookahead=10)
-        model = Model(params)
+        model, buffer = Model(params), Lookahead(params.lookahead)
         count_at_10k = None
         peak = 0
         for i, ex in enumerate(ds.examples):
             model.cover.offer(
-                model.buffer, feature_map(ex.x, ex.y, params, model.cover.points_seen)
+                buffer, feature_map(ex.x, ex.y, params, model.cover.points_seen)
             )
             peak = max(peak, len(model.cover.cores))
             if i + 1 == 10_000:
                 count_at_10k = len(model.cover.cores)
-        model.cover.flush(model.buffer)
+        model.cover.flush(buffer)
         count_at_100k = len(model.cover.cores)
         assert peak <= 200, f"peak ball count {peak}"
         assert count_at_100k <= 2 * count_at_10k, (

@@ -7,8 +7,9 @@ import pytest
 from bbsvm.cli import run_cli
 from bbsvm.data import format_libsvm, generate_synthetic, load_libsvm
 from bbsvm.experiments import CSV_HEADER
-from bbsvm.model import Model, ModelParams, feature_map
+from bbsvm.model import Model, ModelParams
 from bbsvm.model_file import ModelFormatError, load_model, save_model
+from oracle import core_point_ids
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -229,7 +230,8 @@ def test_model_file_version_2_fixture_loads_its_records():
             cs.ball.radius,
             cs.ball.center.explicit.tolist(),
             list(cs.ball.center.slack_coeffs.items()),
-            [(p.id, p.label, p.explicit.tolist(), p.slack_weight) for p in cs.members],
+            # the label column is the bias coordinate
+            [(p.id, p.explicit[-1], p.explicit.tolist(), p.slack_weight) for p in cs.members],
         )
         for cs in model.cover.cores
     ] == _fixture_balls(lines)
@@ -263,9 +265,15 @@ def test_model_file_keeps_training_state(tmp_path):
     save_model(model, tmp_path / "m.bbsvm")
     loaded = load_model(tmp_path / "m.bbsvm")
     assert loaded.params.delta == delta and loaded.cover.delta == delta
-    assert loaded.params.lookahead == 3 and loaded.buffer.capacity == 3
+    assert loaded.params.lookahead == 3
     assert loaded.cover.points_seen == 500
     assert loaded.params == model.params
+    # Each full member row's label field is the sign of its bias coordinate.
+    rows = [line.split() for line in (tmp_path / "m.bbsvm").read_text().splitlines()]
+    rows = [fields for fields in rows if len(fields) == params.dim + 4]
+    assert len(rows) == len(core_point_ids(model.cover))
+    assert all(int(fields[1]) == float(fields[-2]) for fields in rows)
+    assert {int(fields[1]) for fields in rows} == {-1, 1}
 
 
 def _version_1_copy(tmp_path):
@@ -281,7 +289,7 @@ def _version_1_copy(tmp_path):
 
 
 def _member_ids(model):
-    return {p.id for cs in model.cover.cores for p in cs.members}
+    return set(core_point_ids(model.cover))
 
 
 def test_model_file_version_1_loads_with_defaults(tmp_path):
@@ -306,19 +314,12 @@ def test_model_file_version_1_continues_with_fresh_ids(tmp_path):
     assert fresh and min(fresh) > max(before)
 
 
-def test_save_model_refuses_pending_lookahead_points(tmp_path):
+def test_a_model_saved_after_a_partial_buffer_reloads_its_cover(tmp_path):
+    # 23 points at L=10: train_stream flushes the last 3 before it returns.
     ds = generate_synthetic(23, 4, 0.1, 0.0, seed=3)
     model = Model(ModelParams(dim=4, epsilon=0.01, lookahead=10))
-    for ex in ds.examples:
-        p = feature_map(ex.x, ex.y, model.params, model.cover.points_seen)
-        model.cover.offer(model.buffer, p)
-    assert len(model.buffer.pending) == 3
+    model.train_stream(ds.examples)
     path = tmp_path / "m.bbsvm"
-    with pytest.raises(ValueError, match="^3 points are pending"):
-        save_model(model, path)
-    assert not path.exists()
-
-    model.cover.flush(model.buffer)
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.cover.points_seen == 23

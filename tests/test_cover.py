@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bbsvm.cover
 from bbsvm.cover import BlurredBallCover, Lookahead
 from bbsvm.data import generate_synthetic
 from bbsvm.meb import AugPoint, Ball, Center, CoreSet, approx_meb
@@ -12,6 +13,7 @@ from bbsvm.model import Model, ModelParams, feature_map
 from oracle import (
     PerPointCover,
     balls,
+    core_point_ids,
     distance2,
     escape_distances,
     escape_mask,
@@ -361,29 +363,26 @@ def test_merge_input_includes_retained_core_points():
         assert distance2(newest.center, raw(vec, pid)) <= newest.radius**2 * (1 + 1e-9)
 
 
-# ------------------------------------------------------------- all_core_points
-
-
-def test_all_core_points_empty_and_simple():
-    cover = BlurredBallCover(0.1)
-    assert cover.all_core_points() == []
-    pts = [raw([0.0, 0.0], 0), raw([1.0, 0.0], 1), raw([0.0, 1.0], 2)]
-    ball, core = approx_meb(pts, 0.05)
-    cover.cores = [core]
-    assert {p.id for p in cover.all_core_points()} == {p.id for p in core.members}
-
-
-def test_all_core_points_dedups_shared_members():
+def test_a_merge_passes_the_buffer_then_each_core_point_once(monkeypatch):
+    # Two balls share the point 7: the solver gets the buffer, then every
+    # retained core point once, in cover order, and starts from the newest core.
     cover = BlurredBallCover(0.1)
     shared = raw([0.0, 0.0], 7)
-    ball1, _ = approx_meb([shared], 0.05)
-    ball2, _ = approx_meb([shared, raw([1.0, 0.0], 8)], 0.05)
-    cover.cores = [
-        CoreSet([shared], ball1),
-        CoreSet([shared, raw([1.0, 0.0], 8)], ball2),
-    ]
-    ids = [p.id for p in cover.all_core_points()]
-    assert ids == [7, 8]
+    first = [raw([0.0, 1.0], 9), shared]
+    newest = [shared, raw([1.0, 0.0], 8)]
+    cover.cores = [CoreSet(first, approx_meb(first, 0.05)[0]),
+                   CoreSet(newest, approx_meb(newest, 0.05)[0])]
+    cover._refresh_cache()
+    assert core_point_ids(cover) == [9, 7, 8]
+    calls = []
+
+    def recording_meb(points, delta, warm=None):
+        calls.append(([p.id for p in points], [p.id for p in warm]))
+        return approx_meb(points, delta, warm=warm)
+
+    monkeypatch.setattr(bbsvm.cover, "approx_meb", recording_meb)
+    cover.merge_update([raw([5.0, 0.0], 20), raw([5.0, 1.0], 21)])
+    assert calls == [([20, 21, 9, 7, 8], [7, 8])]
 
 
 # ------------------------------------------------------------------ invariants

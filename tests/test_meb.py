@@ -18,8 +18,8 @@ from oracle import (
 )
 
 
-def raw(vec, pid, sw=0.0, label=None):
-    return AugPoint(np.asarray(vec, dtype=float), sw, pid, label=label)
+def raw(vec, pid, sw=0.0):
+    return AugPoint(np.asarray(vec, dtype=float), sw, pid)
 
 
 # ---------------------------------------------------------------- inner_product

@@ -31,7 +31,15 @@ from bbsvm.model import (
     feature_map,
 )
 from bbsvm.model_file import load_model, save_model
-from oracle import center_dot, map_test_point, point_norm2, score, support, to_dense
+from oracle import (
+    center_dot,
+    center_norm2,
+    map_test_point,
+    point_norm2,
+    score,
+    support,
+    to_dense,
+)
 
 
 def sv(*values):
@@ -51,7 +59,7 @@ def test_feature_map_normalizes_and_appends_bias():
     p = feature_map(sv(3.0, 4.0), 1, params, 0)
     assert np.allclose(p.explicit, [0.6, 0.8, 1.0], atol=1e-15)
     assert p.slack_weight == 0.0
-    assert p.label == 1
+    assert p.explicit[-1] == 1.0  # the label is the bias coordinate
     assert math.isclose(math.sqrt(point_norm2(p)), math.sqrt(2.0), rel_tol=1e-12)
 
 
@@ -194,7 +202,7 @@ def test_map_test_point_mirrors_positive_map():
     p = feature_map(sv(3.0, 4.0), 1, params, 0)
     assert np.array_equal(q.explicit, p.explicit)
     assert q.slack_weight == 0.0
-    assert q.id == -1 and q.label is None
+    assert q.id == -1
     with pytest.raises(ValueError, match="zero"):
         map_test_point(SparseVector(np.array([2]), np.array([0.0])), params)
 
@@ -338,7 +346,7 @@ def test_hard_margin_contradicting_pair_predicts_by_tie_rule(tmp_path, tail):
     stream = [TrainingExample(x, 1), TrainingExample(x, -1)] + ds.examples[:tail]
     queries = [ex.x for ex in ds.examples[tail:]]
     model = Model(ModelParams(dim=5)).train_stream(stream)
-    assert [cs.ball.center.norm2() for cs in model.cover.cores] == [0.0]
+    assert [center_norm2(cs.ball.center) for cs in model.cover.cores] == [0.0]
     assert model.cover.cores[0].ball.radius == math.sqrt(2.0)
     save_model(model, tmp_path / "m.bbsvm")
     soft = Model(ModelParams(dim=5, C=1.0)).train_stream(stream[:2])
@@ -385,7 +393,7 @@ def test_a_ball_of_almost_no_margin_is_degenerate():
 def test_classify_requires_training():
     model = Model(ModelParams(dim=2))
     with pytest.raises(ValueError, match="no balls"):
-        model.classify(sv(1.0, 0.0))
+        model.predict([sv(1.0, 0.0)])
 
 
 def test_predict_empty_batch_returns_empty_labels():
@@ -508,8 +516,8 @@ def test_classify_single_ball_sign_symmetry():
     ds = generate_synthetic(200, 4, 0.3, 0.0, seed=5)
     model = Model(ModelParams(dim=4, epsilon=0.01)).train_stream(ds.examples)
     x = ds.examples[0].x
-    plus = model.classify(x)
-    minus = model.classify(SparseVector(x.indices, -x.values))
+    plus = int(model.predict([x])[0])
+    minus = int(model.predict([SparseVector(x.indices, -x.values)])[0])
     assert plus == -minus
 
 
@@ -531,7 +539,7 @@ def test_prediction_deterministic():
     ds = generate_synthetic(300, 5, 0.2, 0.0, seed=4)
     model = Model(ModelParams(dim=5, epsilon=0.01)).train_stream(ds.examples)
     x = ds.examples[17].x
-    assert all(model.classify(x) == model.classify(x) for _ in range(5))
+    assert all(int(model.predict([x])[0]) == int(model.predict([x])[0]) for _ in range(5))
 
 
 def test_predict_matches_scalar_score_rule(monkeypatch):
@@ -547,11 +555,11 @@ def test_predict_matches_scalar_score_rule(monkeypatch):
             expected.append(1 if s > 0 else -1)
         else:
             fallback = sum(
-                center_dot(cs.ball.center, p) / math.sqrt(cs.ball.center.norm2())
+                center_dot(cs.ball.center, p) / math.sqrt(center_norm2(cs.ball.center))
                 for cs in model.cover.cores
             )
             expected.append(-1 if fallback < 0 else 1)
-    assert [model.classify(ex.x) for ex in queries] == expected  # one-row blocks
+    assert [int(model.predict([ex.x])[0]) for ex in queries] == expected  # one-row blocks
     for chunk in (16, QUERY_CHUNK):  # a batch of many chunks, and of one
         monkeypatch.setattr(bbsvm.model, "QUERY_CHUNK", chunk)
         assert np.array_equal(model.predict([ex.x for ex in queries]), expected)
@@ -590,7 +598,7 @@ def test_support_disjoint_for_mirrored_queries():
     kappa = model.params.kappa
     for cs in model.cover.cores:
         assert cs.ball.radius < kappa
-        assert cs.ball.center.norm2() > 0.0
+        assert center_norm2(cs.ball.center) > 0.0
     queries = generate_synthetic(200, 6, 0.0, 0.0, seed=13).examples
     for ex in queries:
         p = map_test_point(ex.x, model.params)
