@@ -173,7 +173,7 @@ def load_model(path) -> Model:
                 raise reader.error("core member has the wrong field count")
             pid = reader.number(parts[0], "member id", int)
             if len(parts) > 1:
-                reader.number(parts[1], "member label", int)
+                reader.number(parts[1], "member label", int)  # checked, not kept
                 coords = [reader.number(v, "member coordinate") for v in parts[2:-1]]
                 weight = reader.number(parts[-1], "member slack weight")
                 points[pid] = AugPoint(np.array(coords), weight, pid)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bbsvm.cli import run_cli
-from bbsvm.data import format_libsvm, generate_synthetic, load_libsvm
+from bbsvm.data import TrainingExample, format_libsvm, generate_synthetic, load_libsvm
 from bbsvm.experiments import CSV_HEADER
 from bbsvm.model import Model, ModelParams
 from bbsvm.model_file import ModelFormatError, load_model, save_model
@@ -274,6 +274,10 @@ def test_model_file_keeps_training_state(tmp_path):
     assert len(rows) == len(core_point_ids(model.cover))
     assert all(int(fields[1]) == float(fields[-2]) for fields in rows)
     assert {int(fields[1]) for fields in rows} == {-1, 1}
+    # so labels given as floats write the same bytes, a file that loads
+    floats = [TrainingExample(ex.x, float(ex.y)) for ex in ds.examples]
+    save_model(Model(params).train_stream(floats), tmp_path / "f.bbsvm")
+    assert (tmp_path / "f.bbsvm").read_bytes() == (tmp_path / "m.bbsvm").read_bytes()
 
 
 def _version_1_copy(tmp_path):

@@ -539,7 +539,7 @@ def test_prediction_deterministic():
     ds = generate_synthetic(300, 5, 0.2, 0.0, seed=4)
     model = Model(ModelParams(dim=5, epsilon=0.01)).train_stream(ds.examples)
     x = ds.examples[17].x
-    assert all(int(model.predict([x])[0]) == int(model.predict([x])[0]) for _ in range(5))
+    assert len({int(model.predict([x])[0]) for _ in range(10)}) == 1
 
 
 def test_predict_matches_scalar_score_rule(monkeypatch):
