@@ -97,34 +97,7 @@ def run_experiment(
     test set in its fixed order.  Timing covers stream consumption through
     the final buffer flush only (shuffling and parsing are excluded).
     """
-    if not train.examples or not test.examples:
-        raise ValueError("run_experiment requires nonempty train and test sets")
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    test_x = [ex.x for ex in test.examples]
-    test_y = np.array([ex.y for ex in test.examples])
-    results = []
-    for k in range(runs):
-        seed = base_seed + k
-        order = shuffled(train, seed)
-        model = Model(params)
-        start = time.perf_counter()
-        try:
-            model.train_stream(iter(order))
-        except ValueError as err:
-            raise ValueError(f"run {k} (seed {seed}): {err}") from err
-        elapsed = time.perf_counter() - start
-        accuracy = float((model.predict(test_x) == test_y).mean())
-        results.append(
-            RunResult(
-                seed=seed,
-                accuracy=accuracy,
-                train_seconds=elapsed,
-                ball_count=len(model.cover.cores),
-                core_point_total=sum(len(cs.members) for cs in model.cover.cores),
-            )
-        )
-    return ExperimentReport.from_runs(params, results)
+    return _interleaved_runs(train, test, [params], runs, base_seed)[0]
 
 
 def epsilon_sweep(
@@ -140,18 +113,62 @@ def epsilon_sweep(
 
     Reports come back sorted by epsilon ascending, then lookahead, each
     with the ``ModelParams`` it ran with: ``params`` with that epsilon and
-    lookahead, and ``delta`` re-derived as epsilon/2.
+    lookahead, and ``delta`` re-derived as epsilon/2.  Run k of every
+    setting trains before run k+1 of any, so a machine that slows down
+    or speeds up during the sweep shifts every setting's mean time alike.
     """
     if not epsilons:
         raise ValueError("epsilons must be nonempty")
     if len(set(epsilons)) != len(epsilons):
         raise ValueError("duplicate epsilon values")
-    reports = []
-    for eps in sorted(epsilons):
-        for L in sorted(lookaheads):
-            run_params = replace(params, epsilon=eps, lookahead=L, delta=None)
-            reports.append(run_experiment(train, test, run_params, runs, base_seed))
-    return reports
+    settings = [
+        replace(params, epsilon=eps, lookahead=L, delta=None)
+        for eps in sorted(epsilons)
+        for L in sorted(lookaheads)
+    ]
+    return _interleaved_runs(train, test, settings, runs, base_seed)
+
+
+def _interleaved_runs(
+    train: Dataset,
+    test: Dataset,
+    settings: Sequence[ModelParams],
+    runs: int,
+    base_seed: int,
+) -> list[ExperimentReport]:
+    """Run k of each setting on ``shuffled(train, base_seed + k)``, k outermost."""
+    if not train.examples or not test.examples:
+        raise ValueError("run_experiment requires nonempty train and test sets")
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
+    test_x = [ex.x for ex in test.examples]
+    test_y = np.array([ex.y for ex in test.examples])
+    results: list[list[RunResult]] = [[] for _ in settings]
+    for k in range(runs):
+        seed = base_seed + k
+        order = shuffled(train, seed)
+        for params, per_run in zip(settings, results):
+            model = Model(params)
+            start = time.perf_counter()
+            try:
+                model.train_stream(iter(order))
+            except ValueError as err:
+                raise ValueError(f"run {k} (seed {seed}): {err}") from err
+            elapsed = time.perf_counter() - start
+            accuracy = float((model.predict(test_x) == test_y).mean())
+            per_run.append(
+                RunResult(
+                    seed=seed,
+                    accuracy=accuracy,
+                    train_seconds=elapsed,
+                    ball_count=len(model.cover.cores),
+                    core_point_total=sum(len(cs.members) for cs in model.cover.cores),
+                )
+            )
+    return [
+        ExperimentReport.from_runs(params, per_run)
+        for params, per_run in zip(settings, results)
+    ]
 
 
 def write_csv(reports: Sequence[ExperimentReport], stream: IO[str]) -> None:

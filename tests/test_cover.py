@@ -363,6 +363,50 @@ def test_merge_input_includes_retained_core_points():
         assert distance2(newest.center, raw(vec, pid)) <= newest.radius**2 * (1 + 1e-9)
 
 
+def _record_merge_inputs(monkeypatch) -> list[list[int]]:
+    """Patch the cover's solver to log the ids of each merge input."""
+    calls: list[list[int]] = []
+
+    def recording_meb(points, delta, warm=None):
+        calls.append([p.id for p in points])
+        return approx_meb(points, delta, warm=warm)
+
+    monkeypatch.setattr(bbsvm.cover, "approx_meb", recording_meb)
+    return calls
+
+
+def test_all_core_points_empty_and_simple(monkeypatch):
+    # An empty cover adds nothing to the buffer; one ball adds its core set.
+    cover = BlurredBallCover(0.1)
+    assert core_point_ids(cover) == []
+    calls = _record_merge_inputs(monkeypatch)
+    cover.merge_update([raw([5.0, 0.0], 20)])
+    assert calls == [[20]]
+    pts = [raw([0.0, 0.0], 0), raw([1.0, 0.0], 1), raw([0.0, 1.0], 2)]
+    ball, core = approx_meb(pts, 0.05)
+    cover.cores = [core]
+    cover._refresh_cache()
+    assert set(core_point_ids(cover)) == {p.id for p in core.members}
+    cover.merge_update([raw([5.0, 1.0], 21)])
+    assert calls[1] == [21, *(p.id for p in core.members)]
+
+
+def test_all_core_points_dedups_shared_members(monkeypatch):
+    cover = BlurredBallCover(0.1)
+    shared = raw([0.0, 0.0], 7)
+    ball1, _ = approx_meb([shared], 0.05)
+    ball2, _ = approx_meb([shared, raw([1.0, 0.0], 8)], 0.05)
+    cover.cores = [
+        CoreSet([shared], ball1),
+        CoreSet([shared, raw([1.0, 0.0], 8)], ball2),
+    ]
+    cover._refresh_cache()
+    assert core_point_ids(cover) == [7, 8]
+    calls = _record_merge_inputs(monkeypatch)
+    cover.merge_update([raw([5.0, 0.0], 20)])
+    assert calls == [[20, 7, 8]]
+
+
 def test_a_merge_passes_the_buffer_then_each_core_point_once(monkeypatch):
     # Two balls share the point 7: the solver gets the buffer, then every
     # retained core point once, in cover order, and starts from the newest core.

@@ -1,10 +1,12 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bbsvm.data import Dataset, SparseVector, TrainingExample, generate_synthetic
+from bbsvm import experiments
+from bbsvm.data import Dataset, SparseVector, TrainingExample, generate_synthetic, shuffled
 from bbsvm.experiments import (
     CSV_HEADER,
     ExperimentReport,
@@ -112,6 +114,30 @@ def test_sweep_rows_sorted_and_complete():
         (0.1, 10),
     ]
     assert all(len(r.per_run) == 1 for r in rows)
+
+
+def test_sweep_trains_run_k_of_every_setting_before_run_k_plus_1(monkeypatch):
+    # Interleaving keeps a drift in machine speed from favouring one epsilon;
+    # each report still equals its own run_experiment but for the timings.
+    train, test = split(150, 50, 4, 0.2, seed=10)
+    params = ModelParams(dim=4)
+    trained = []
+
+    class RecordingModel(experiments.Model):
+        def train_stream(self, stream):
+            order = list(stream)
+            trained.append((self.params.epsilon, order[0].x.values[0]))
+            return super().train_stream(iter(order))
+
+    monkeypatch.setattr(experiments, "Model", RecordingModel)
+    rows = epsilon_sweep(train, test, params, [0.1, 0.02], runs=3, lookaheads=(10,), base_seed=4)
+    firsts = [shuffled(train, 4 + k)[0].x.values[0] for k in range(3)]
+    assert trained == [(eps, first) for first in firsts for eps in (0.02, 0.1)]
+    for row in rows:
+        alone = run_experiment(train, test, row.params, runs=3, base_seed=4)
+        assert [replace(r, train_seconds=0.0) for r in row.per_run] == [
+            replace(r, train_seconds=0.0) for r in alone.per_run
+        ]
 
 
 def test_sweep_rejects_duplicates_and_empty():
