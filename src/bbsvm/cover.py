@@ -154,11 +154,8 @@ class BlurredBallCover:
 
     def _refresh_cache(self) -> None:
         if not self.cores:
-            self._centers = None
-            self._newest = None
-            self._center_slack2 = None
-            self._radii = None
-            self._limits2 = None
+            self._centers = self._newest = self._center_slack2 = None
+            self._radii = self._limits2 = None
             return
         self._centers = np.stack([cs.ball.center.explicit for cs in self.cores])
         self._newest = self._centers[-1]

@@ -34,7 +34,6 @@ __all__ = [
 
 GZIP_SUFFIX = ".gz"
 CHUNK_CHARS = 1 << 17  # text parsed as one block: about 128 KB
-_vdot = np.vdot.__wrapped__  # v.dot's bits, no overflow warning, no dispatch cost
 
 
 class DataFormatError(ValueError):
@@ -47,18 +46,6 @@ class SparseVector:
 
     indices: np.ndarray
     values: np.ndarray
-
-    def norm(self) -> float:
-        v = self.values
-        norm = math.sqrt(_vdot(v, v))
-        if norm == math.inf or (norm == 0.0 and v.any()):
-            # The squares overflowed or underflowed: rescale by the largest
-            # magnitude.  Other inputs keep the plain norm bit for bit.
-            scale = float(np.abs(v).max())
-            if scale < math.inf:
-                u = v / scale
-                norm = scale * math.sqrt(float(u.dot(u)))
-        return norm
 
 
 @dataclass(eq=False)

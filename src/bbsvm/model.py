@@ -9,6 +9,9 @@ enclosing ball.  The cover maintains several approximate balls; each center
 acts as a linear classifier and queries are labeled by comparing the summed
 signed distances (scores) of the query and its mirror image across the
 balls that contain them.
+
+An input's norm is the BLAS ddot of its dense row with itself (``_norm``),
+which ``np.vecdot`` takes on each contiguous row of a query block, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = ["Model", "ModelParams", "feature_map"]
 
 QUERY_CHUNK = 256  # queries whose indices and values predict concatenates at once
 MARGIN2_RTOL = 1e-9  # margin^2 / kappa^2 at or below which a ball separates nothing
+_vdot = np.vdot.__wrapped__  # v.dot's bits, no overflow warning, no dispatch cost
 
 
 @dataclass
@@ -65,26 +69,28 @@ class ModelParams:
         return math.sqrt(2.0 + inv_c)
 
 
+def _norm(row: np.ndarray) -> float:
+    """``sqrt`` of the BLAS ddot of a dense row with itself; squares that
+    overflow or underflow are rescaled by the largest magnitude."""
+    norm = math.sqrt(_vdot(row, row))
+    if norm == math.inf or (norm == 0.0 and row.any()):
+        scale = float(np.abs(row).max())
+        if scale < math.inf:  # the rescaled row's norm lies in [1, sqrt(dim)]
+            norm = scale * _norm(row / scale)
+    return norm
+
+
 def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
     """The explicit block ``[sign * x_hat ; sign]`` of a mapped input.
 
-    Raises ``ValueError`` unless ``x`` has a finite nonzero norm with a
-    finite reciprocal, so a NaN or infinite value can never reach a ball,
-    and unless its indices lie in 1..dim (index dim+1 is the bias slot).
-    The values are written through the dim-wide view of the block, so NumPy
-    refuses an index above dim anywhere in the row; of the indices below 1
-    only the first is checked, which covers every row with sorted indices.
+    Raises ``ValueError`` unless the indices lie in 1..dim (dim+1 is the bias
+    slot; NumPy refuses one above dim, and the first is checked against 1,
+    which covers sorted rows), then unless the ``_norm`` of the dense row is
+    finite and nonzero with a finite reciprocal: no NaN or inf reaches a ball.
     """
-    norm = x.norm()
-    if not 0.0 < norm < math.inf or 1.0 / norm == math.inf:
-        raise ValueError(
-            f"input vector needs a finite nonzero norm with a finite "
-            f"reciprocal, got {norm!r}"
-        )
     dim = params.dim
     if x.indices.size and x.indices[0] < 1:
         raise ValueError(f"feature index {x.indices[0]} is below 1")
-    # In place: the bits of dense ``x`` times ``sign * (1/norm)``, -0.0 zeros included.
     explicit = np.zeros(dim + 1)
     features = explicit[:-1]
     try:
@@ -94,6 +100,11 @@ def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
         if top > dim:
             raise ValueError(f"feature index {top} exceeds dimension {dim}") from None
         raise ValueError(f"feature index {x.indices.min()} is below 1") from None
+    norm = _norm(features)
+    if not 0.0 < norm < math.inf or 1.0 / norm == math.inf:
+        raise ValueError("input vector needs a finite nonzero norm with a finite "
+                         f"reciprocal, got {norm!r}")
+    # In place: the bits of dense ``x`` times ``sign * (1/norm)``, -0.0 zeros included.
     features *= sign * (1.0 / norm)
     explicit[-1] = float(sign)
     return explicit
@@ -101,24 +112,29 @@ def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
 
 @np.errstate(divide="ignore", over="ignore")  # each 1/norm is checked below
 def _query_rows(xs: Sequence[SparseVector], params: ModelParams) -> np.ndarray:
-    """The rows ``_augment(x, 1, params)`` of a batch, bit for bit, as one block."""
+    """The rows ``_augment(x, 1, params)`` of a batch, bit for bit, as one block:
+    one ``np.vecdot`` takes the norms of a chunk's rows with ``_norm``'s ddot."""
     P = np.zeros((len(xs), params.dim + 1))
     P[:, -1] = 1.0
     for start in range(0, len(xs), QUERY_CHUNK):
         chunk = xs[start : start + QUERY_CHUNK]
-        stop = start + len(chunk)
-        scale = 1.0 / np.array([x.norm() for x in chunk])
-        rows = np.repeat(np.arange(start, stop), [x.indices.size for x in chunk])
+        F = P[start : start + QUERY_CHUNK, :-1]
+        rows = np.repeat(np.arange(len(chunk)), [x.indices.size for x in chunk])
         cols = np.concatenate([x.indices for x in chunk]) - 1
-        fine = (0.0 < scale) & (scale < math.inf)  # _augment's norm check
-        if not fine.all() or ((cols < 0) | (cols >= params.dim)).any():
-            for k, x in enumerate(chunk, start):  # _augment checks only the ends: sort
+        if ((0 <= cols) & (cols < params.dim)).all():  # else all rows stay 0: refused
+            F[rows, cols] = np.concatenate([x.values for x in chunk])
+        norms = np.sqrt(np.vecdot(F, F))
+        for k in np.flatnonzero((norms == math.inf) | (norms == 0.0)):
+            norms[k] = _norm(F[k])  # rescaled
+        scale = 1.0 / norms
+        if not ((0.0 < scale) & (scale < math.inf)).all():  # _augment's checks
+            for k, x in enumerate(chunk, start):  # _augment checks one index below 1
+                order = np.argsort(x.indices)
                 try:
-                    _augment(SparseVector(np.sort(x.indices), x.values), 1, params)
+                    _augment(SparseVector(x.indices[order], x.values[order]), 1, params)
                 except ValueError as err:
                     raise ValueError(f"query {k}: {err}") from err
-        P[rows, cols] = np.concatenate([x.values for x in chunk])
-        P[start:stop, :-1] *= scale[:, None]
+        F *= scale[:, None]
     return P
 
 
@@ -181,8 +197,7 @@ class Model:
         centers, center_slack2, radii = arrays
         P = _query_rows(xs, self.params)
 
-        cen2 = np.einsum("ij,ij->i", centers, centers)
-        norms2 = cen2 + center_slack2
+        norms2 = np.einsum("ij,ij->i", centers, centers) + center_slack2
         pn2 = np.einsum("ij,ij->i", P, P)
         dots = P @ centers.T  # (queries, balls)
 

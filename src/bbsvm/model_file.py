@@ -22,8 +22,8 @@ Format (UTF-8, one record per line, floats in shortest round-trip decimal):
 A core point is written in full once, where it first appears, and as its
 bare id in later balls, which load it as the same shared point.  Its
 ``<label>`` is the sign of its bias coordinate (the last float; 0 when that
-is not +-1), kept for older readers: loading checks it is an integer and
-reads nothing else from it.  Every float round-trips exactly, so a reloaded
+is not +-1), kept for older readers: loading checks that it is that sign
+and reads nothing else from it.  Every float round-trips exactly, so a reloaded
 model predicts identically and continues the stream as the saved model
 would: ``points_seen`` numbers the next training point and exceeds every
 member id, and each slack id is a member of its ball, listed once.
@@ -118,6 +118,12 @@ class _Reader:
         except ValueError:
             raise self.error(f"bad {what} {text!r}") from None
 
+    def floats(self, texts: list[str], what: str) -> np.ndarray:
+        try:  # a record in one call; value by value only to name the first bad one
+            return np.array(list(map(float, texts)))
+        except ValueError:
+            return np.array([self.number(v, what) for v in texts])
+
     def record(self, tag: str, kind=float):
         """The value of the one-value record ``tag`` (no value or two are bad)."""
         return self.number(" ".join(self.tagged(tag)), tag, kind)
@@ -150,9 +156,7 @@ def load_model(path) -> Model:
     points: dict[int, AugPoint] = {}
     for _ in range(ball_count):
         radius = reader.record("ball")
-        explicit = np.array(
-            [reader.number(v, "center coordinate") for v in reader.tagged("center")]
-        )
+        explicit = reader.floats(reader.tagged("center"), "center coordinate")
         if explicit.size != dim + 1:
             raise reader.error("center has the wrong dimension")
         coeffs: dict[int, float] = {}
@@ -173,10 +177,13 @@ def load_model(path) -> Model:
                 raise reader.error("core member has the wrong field count")
             pid = reader.number(parts[0], "member id", int)
             if len(parts) > 1:
-                reader.number(parts[1], "member label", int)  # checked, not kept
-                coords = [reader.number(v, "member coordinate") for v in parts[2:-1]]
+                label = reader.number(parts[1], "member label", int)  # checked, not kept
+                coords = reader.floats(parts[2:-1], "member coordinate")
                 weight = reader.number(parts[-1], "member slack weight")
-                points[pid] = AugPoint(np.array(coords), weight, pid)
+                if label != (int(coords[-1]) if abs(coords[-1]) == 1.0 else 0):
+                    raise reader.error(f"member label {label} is not the sign of "
+                                       f"its bias coordinate {coords[-1]}")
+                points[pid] = AugPoint(coords, weight, pid)
             elif pid not in points:
                 raise reader.error(f"member {pid} was not written earlier")
             members.append(points[pid])

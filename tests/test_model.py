@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -27,6 +28,7 @@ from bbsvm.model import (
     Model,
     ModelParams,
     _augment,
+    _norm,
     _query_rows,
     feature_map,
 )
@@ -130,14 +132,16 @@ def test_an_index_outside_the_block_inside_an_unsorted_row_is_refused(index, mes
 
 def test_feature_map_negative_label_matches_dense_formula_bit_for_bit():
     # The block is filled in place; it must equal the dense product
-    # to_dense(dim) * (y * (1/norm)), including the -0.0 of its zeros.
+    # to_dense(dim) * (y * (1/norm)), the norm the ddot of the dense row,
+    # including the -0.0 of its zeros.
     rng = np.random.default_rng(4)
     for dim in (5, 40, 300):
         idx = np.sort(rng.choice(np.arange(1, dim + 1), size=dim // 5, replace=False))
         x = SparseVector(idx, rng.standard_normal(idx.size))
         for y in (-1, 1):
             got = feature_map(x, y, ModelParams(dim=dim), 0).explicit
-            want = to_dense(x, dim) * (y * (1.0 / x.norm()))
+            d = to_dense(x, dim)
+            want = d * (y * (1.0 / math.sqrt(np.vdot(d, d))))
             assert got[:-1].tobytes() == want.tobytes()
             assert got[-1] == y
             assert np.signbit(got[:-1][want == 0.0]).all() == (y < 0)
@@ -188,10 +192,27 @@ def test_extreme_magnitudes_train_and_predict_like_unit_values():
         )
 
 
+@pytest.mark.filterwarnings("error")
+def test_norm_of_a_dense_row():
+    rng = np.random.default_rng(12)
+    for scale in (1e-3, 1.0, 1e3):
+        for n in (1, 5, 60):
+            row = rng.normal(size=n) * scale
+            assert _norm(row) == float(np.linalg.norm(row))
+    # Squares that overflow or underflow are rescaled instead.
+    for value in (1e200, 1e-200, 5e-324):
+        row = np.array([value, -value])
+        assert math.isclose(_norm(row), value * math.sqrt(2.0), rel_tol=1e-15)
+    assert _norm(np.array([0.0])) == 0.0
+    assert _norm(np.array([])) == 0.0
+    assert _norm(np.array([math.inf])) == math.inf
+    assert math.isnan(_norm(np.array([math.nan])))
+
+
 def test_norm_without_finite_reciprocal_is_rejected():
     # sqrt(2) * 1e-310 is nonzero, but 1 / norm overflows to inf.
     x = parse_libsvm(["+1 1:1e-310 2:1e-310"]).examples[0].x
-    assert 0.0 < x.norm() < 1e-300
+    assert 0.0 < _norm(to_dense(x, 2)) < 1e-300
     with pytest.raises(ValueError, match="finite reciprocal"):
         feature_map(x, 1, ModelParams(dim=2), 0)
 
@@ -416,26 +437,32 @@ def test_predict_error_names_the_query(bad):
 @st.composite
 def query_batches(draw):
     """(dim, chunk, queries) with more queries than the chunk: dense and sparse
-    rows, magnitudes from 1e-200 to 1e200, signed zeros and zero rows."""
+    rows (the first dense, the second sparse, so a chunk of two or more mixes
+    lengths), magnitudes from 1e-200 to 1e200, signed zeros and zero rows, and
+    values as float64, as strided views, as int64 or as float32."""
     dim = draw(st.integers(1, 40))
     chunk = draw(st.integers(1, 4))
     mantissas = st.floats(0.5, 10.0) | st.floats(-10.0, -0.5)
-    value = st.builds(lambda m, e: m * 10.0**e, mantissas, st.integers(-200, 200))
+    zeros = st.sampled_from([0.0, -0.0])
+    wide = st.builds(lambda m, e: m * 10.0**e, mantissas, st.integers(-200, 200))
+    narrow = st.builds(lambda m, e: m * 10.0**e, mantissas, st.integers(-30, 30))
     queries = []
-    for _ in range(draw(st.integers(chunk + 1, 2 * chunk + 1))):
-        if draw(st.booleans()):
+    for position in range(draw(st.integers(chunk + 1, 2 * chunk + 1))):
+        if position == 0 or (position > 1 and draw(st.booleans())):
             indices = np.arange(1, dim + 1)
         else:
-            chosen = draw(st.sets(st.integers(1, dim), min_size=1, max_size=dim))
+            size = max(1, dim - 1)
+            chosen = draw(st.sets(st.integers(1, dim), min_size=1, max_size=size))
             indices = np.array(sorted(chosen))
-        values = draw(
-            st.lists(
-                value | st.sampled_from([0.0, -0.0]),
-                min_size=indices.size,
-                max_size=indices.size,
-            )
-        )
-        queries.append(SparseVector(indices, np.array(values)))
+        kind = draw(st.sampled_from(["float64", "view", "int64", "float32"]))
+        value = {"int64": st.integers(-1000, 1000), "float32": narrow}.get(kind, wide)
+        values = np.array(draw(st.lists(value | zeros, min_size=indices.size,
+                                        max_size=indices.size)))
+        if kind == "view":  # not contiguous
+            values = np.repeat(values, 2)[::2]
+        else:
+            values = values.astype(kind)
+        queries.append(SparseVector(indices, values))
     return dim, chunk, queries
 
 
@@ -462,6 +489,27 @@ def test_query_block_rows_are_the_bits_of_the_per_point_map(batch):
         block = _query_rows(queries, params)
     assert block.shape == (len(queries), dim + 1)
     assert np.array_equal(block.view(np.int64), np.stack(rows).view(np.int64))
+
+
+def test_query_block_allocates_little_beyond_the_block():
+    # 1,000 sparse d=300 queries at 60 nonzeros: a chunk's row, column and
+    # value arrays (with the last chunk's still held) come to about 0.49 MB.
+    # An np.unique of the row lengths would add about 1.1 MB.
+    rng = np.random.default_rng(16)
+    dim = 300
+    queries = [
+        SparseVector(np.sort(rng.choice(np.arange(1, dim + 1), 60, replace=False)),
+                     rng.standard_normal(60))
+        for _ in range(1000)
+    ]
+    params = ModelParams(dim=dim)
+    tracemalloc.start()
+    try:
+        P = _query_rows(queries, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= P.nbytes + 2**19, f"peak {peak} for a block of {P.nbytes} bytes"
 
 
 BAD_QUERIES = {  # for dim 3
