@@ -28,7 +28,8 @@ from .meb import AugPoint
 
 __all__ = ["Model", "ModelParams", "feature_map"]
 
-QUERY_CHUNK = 256  # queries whose indices and values predict concatenates at once
+QUERY_CHUNK = 256  # rows of predict's query block, unless that passes QUERY_BLOCK_BYTES
+QUERY_BLOCK_BYTES = 2**21  # so one query on a dim = 10**6 model takes 8 MB, not 2 GB
 MARGIN2_RTOL = 1e-9  # margin^2 / kappa^2 at or below which a ball separates nothing
 _vdot = np.vdot.__wrapped__  # v.dot's bits, no overflow warning, no dispatch cost
 
@@ -111,31 +112,34 @@ def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", over="ignore")  # each 1/norm is checked below
-def _query_rows(xs: Sequence[SparseVector], params: ModelParams) -> np.ndarray:
-    """The rows ``_augment(x, 1, params)`` of a batch, bit for bit, as one block:
-    one ``np.vecdot`` takes the norms of a chunk's rows with ``_norm``'s ddot."""
-    P = np.zeros((len(xs), params.dim + 1))
-    P[:, -1] = 1.0
-    for start in range(0, len(xs), QUERY_CHUNK):
-        chunk = xs[start : start + QUERY_CHUNK]
-        F = P[start : start + QUERY_CHUNK, :-1]
-        rows = np.repeat(np.arange(len(chunk)), [x.indices.size for x in chunk])
-        cols = np.concatenate([x.indices for x in chunk]) - 1
-        if ((0 <= cols) & (cols < params.dim)).all():  # else all rows stay 0: refused
-            F[rows, cols] = np.concatenate([x.values for x in chunk])
-        norms = np.sqrt(np.vecdot(F, F))
-        for k in np.flatnonzero((norms == math.inf) | (norms == 0.0)):
-            norms[k] = _norm(F[k])  # rescaled
-        scale = 1.0 / norms
-        if not ((0.0 < scale) & (scale < math.inf)).all():  # _augment's checks
-            for k, x in enumerate(chunk, start):  # _augment checks one index below 1
-                order = np.argsort(x.indices)
-                try:
-                    _augment(SparseVector(x.indices[order], x.values[order]), 1, params)
-                except ValueError as err:
-                    raise ValueError(f"query {k}: {err}") from err
-        F *= scale[:, None]
-    return P
+def _query_rows(
+    chunk: Sequence[SparseVector], params: ModelParams, P: np.ndarray, first: int
+) -> np.ndarray:
+    """The rows ``_augment(x, 1, params)`` of a chunk, bit for bit, mapped into
+    ``P[:len(chunk)]`` and returned; errors number the queries from ``first``.
+    One ``np.vecdot`` takes the norms of the rows with ``_norm``'s ddot."""
+    Q = P[: len(chunk)]
+    Q.fill(0.0)
+    cols = np.concatenate([x.indices for x in chunk]) - 1
+    if ((0 <= cols) & (cols < params.dim)).all():  # else all rows stay 0: refused
+        sizes = [x.indices.size for x in chunk]  # scatter through the flat block
+        cols += np.repeat(np.arange(0, Q.size, P.shape[1]), sizes)
+        P.reshape(-1)[cols] = np.concatenate([x.values for x in chunk])
+    F = Q[:, :-1]
+    norms = np.sqrt(np.vecdot(F, F))
+    for k in np.flatnonzero((norms == math.inf) | (norms == 0.0)):
+        norms[k] = _norm(F[k])  # rescaled
+    scale = 1.0 / norms
+    if not ((0.0 < scale) & (scale < math.inf)).all():  # _augment's checks
+        for k, x in enumerate(chunk, first):  # _augment checks one index below 1
+            order = np.argsort(x.indices)
+            try:
+                _augment(SparseVector(x.indices[order], x.values[order]), 1, params)
+            except ValueError as err:
+                raise ValueError(f"query {k}: {err}") from err
+    Q *= scale[:, None]  # whole contiguous rows; the bias slot is 0 until set
+    Q[:, -1] = 1.0
+    return Q
 
 
 def feature_map(
@@ -187,33 +191,39 @@ class Model:
         For each query p the decision is sign(S(p) - S(-p)) where S sums
         the signed distances over the balls containing its argument; exact
         ties fall back to the sign of the summed distances over all balls,
-        and +1 if that is still zero.  The queries are mapped as one block with
-        the bits of the per-point map; a query that cannot be mapped, or with
-        any index outside 1..dim, raises ``ValueError`` naming its position.
+        and +1 if that is still zero.  The queries are mapped a chunk at a
+        time into one block of ``QUERY_CHUNK`` rows (fewer if the block would
+        pass ``QUERY_BLOCK_BYTES``) with the bits of the per-point map; a query
+        that cannot be mapped, or with any index outside 1..dim, raises
+        ``ValueError`` naming its position.  Each chunk multiplies the whole
+        block by the centers: one GEMM shape whatever the batch, so a query's
+        label does not depend on its batch (BLAS can sum a row in another order
+        at another height), and memory stays at one block.
         """
         arrays = self.cover.query_arrays()
         if arrays is None:
             raise ValueError("model has no balls; train before classifying")
         centers, center_slack2, radii = arrays
-        P = _query_rows(xs, self.params)
-
+        width = self.params.dim + 1
+        P = np.zeros((min(QUERY_CHUNK, max(1, QUERY_BLOCK_BYTES // (8 * width))), width))
         norms2 = np.einsum("ij,ij->i", centers, centers) + center_slack2
-        pn2 = np.einsum("ij,ij->i", P, P)
-        dots = P @ centers.T  # (queries, balls)
-
         r2 = radii * radii
-        base = pn2[:, None] + norms2[None, :]
-        in_pos = base - 2.0 * dots <= r2[None, :]
-        in_neg = base + 2.0 * dots <= r2[None, :]
-
         # A zero center has no separator: it adds 0 to both sums and the tie.
-        signed = dots / np.sqrt(np.where(norms2 > 0.0, norms2, np.inf))[None, :]
-
-        # S(p) - S(-p) = sum over Sup(p) of p.c_hat + sum over Sup(-p) of p.c_hat
-        margin = (in_pos * signed).sum(axis=1) + (in_neg * signed).sum(axis=1)
-        labels = np.where(margin > 0.0, 1, -1)
-        tied = margin == 0.0
-        labels[tied] = np.where(signed[tied].sum(axis=1) < 0.0, -1, 1)
+        lengths = np.sqrt(np.where(norms2 > 0.0, norms2, np.inf))
+        labels = np.empty(len(xs), dtype=np.int64)
+        for start in range(0, len(xs), len(P)):
+            Q = _query_rows(xs[start : start + len(P)], self.params, P, start)
+            dots = (P @ centers.T)[: len(Q)]  # rows past Q: an earlier chunk's
+            base = np.einsum("ij,ij->i", Q, Q)[:, None] + norms2
+            in_pos = base - 2.0 * dots <= r2
+            in_neg = base + 2.0 * dots <= r2
+            signed = dots / lengths
+            # S(p) - S(-p) = sum over Sup(p) of p.c_hat + sum over Sup(-p) of p.c_hat
+            margin = (in_pos * signed).sum(axis=1) + (in_neg * signed).sum(axis=1)
+            chunk = np.where(margin > 0.0, 1, -1)
+            tied = margin == 0.0
+            chunk[tied] = np.where(signed[tied].sum(axis=1) < 0.0, -1, 1)
+            labels[start : start + len(Q)] = chunk
         return labels
 
     def degenerate_balls(self) -> list[int]:

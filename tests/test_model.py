@@ -5,11 +5,10 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import bbsvm.model
@@ -436,18 +435,19 @@ def test_predict_error_names_the_query(bad):
 
 @st.composite
 def query_batches(draw):
-    """(dim, chunk, queries) with more queries than the chunk: dense and sparse
-    rows (the first dense, the second sparse, so a chunk of two or more mixes
-    lengths), magnitudes from 1e-200 to 1e200, signed zeros and zero rows, and
-    values as float64, as strided views, as int64 or as float32."""
+    """(dim, height, queries) with a first chunk of ``height`` queries and a
+    shorter second one: dense and sparse rows (the first dense, the second
+    sparse, so a chunk of two or more mixes lengths), magnitudes from 1e-200 to
+    1e200, signed zeros and zero rows, and values as float64, as strided views,
+    as int64 or as float32."""
     dim = draw(st.integers(1, 40))
-    chunk = draw(st.integers(1, 4))
+    height = draw(st.integers(2, 5))
     mantissas = st.floats(0.5, 10.0) | st.floats(-10.0, -0.5)
     zeros = st.sampled_from([0.0, -0.0])
     wide = st.builds(lambda m, e: m * 10.0**e, mantissas, st.integers(-200, 200))
     narrow = st.builds(lambda m, e: m * 10.0**e, mantissas, st.integers(-30, 30))
     queries = []
-    for position in range(draw(st.integers(chunk + 1, 2 * chunk + 1))):
+    for position in range(draw(st.integers(height + 1, 2 * height - 1))):
         if position == 0 or (position > 1 and draw(st.booleans())):
             indices = np.arange(1, dim + 1)
         else:
@@ -463,13 +463,17 @@ def query_batches(draw):
         else:
             values = values.astype(kind)
         queries.append(SparseVector(indices, values))
-    return dim, chunk, queries
+    return dim, height, queries
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+# No shrinking: a broken bit fails at once instead of shrinking for minutes.
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.generate])
 @given(query_batches())
 def test_query_block_rows_are_the_bits_of_the_per_point_map(batch):
-    dim, chunk, queries = batch
+    # Two chunks through one reused block, the second shorter than the block,
+    # so rows of the first remain below it.
+    dim, height, queries = batch
     params = ModelParams(dim=dim)
     rows = []
     for position, x in enumerate(queries):
@@ -480,36 +484,89 @@ def test_query_block_rows_are_the_bits_of_the_per_point_map(batch):
             break
     else:
         expected = None
-    with patch.object(bbsvm.model, "QUERY_CHUNK", chunk):
-        if expected is not None:
+    P = np.full((height, dim + 1), np.nan)
+    for first in (0, height):
+        chunk = queries[first : first + height]
+        if expected is not None and len(rows) < first + len(chunk):
             with pytest.raises(ValueError) as err:
-                _query_rows(queries, params)
+                _query_rows(chunk, params, P, first)
             assert str(err.value) == expected
             return
-        block = _query_rows(queries, params)
-    assert block.shape == (len(queries), dim + 1)
-    assert np.array_equal(block.view(np.int64), np.stack(rows).view(np.int64))
+        block = _query_rows(chunk, params, P, first)
+        assert block.shape == (len(chunk), dim + 1) and np.shares_memory(block, P)
+        want = np.stack(rows[first : first + height])
+        assert np.array_equal(block.view(np.int64), want.view(np.int64))
 
 
-def test_query_block_allocates_little_beyond_the_block():
-    # 1,000 sparse d=300 queries at 60 nonzeros: a chunk's row, column and
-    # value arrays (with the last chunk's still held) come to about 0.49 MB.
-    # An np.unique of the row lengths would add about 1.1 MB.
-    rng = np.random.default_rng(16)
-    dim = 300
-    queries = [
-        SparseVector(np.sort(rng.choice(np.arange(1, dim + 1), 60, replace=False)),
-                     rng.standard_normal(60))
-        for _ in range(1000)
-    ]
-    params = ModelParams(dim=dim)
+def sparse_queries(n, dim, nnz, seed):
+    rng = np.random.default_rng(seed)
+    indices = np.sort(rng.permuted(np.tile(np.arange(1, dim + 1), (n, 1)), axis=1)[:, :nnz])
+    values = rng.standard_normal((n, nnz))
+    return [SparseVector(indices[k], values[k]) for k in range(n)]
+
+
+def predict_peak(model, queries):
+    """``predict``'s tracemalloc peak in bytes, less its labels."""
     tracemalloc.start()
     try:
-        P = _query_rows(queries, params)
+        labels = model.predict(queries)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= P.nbytes + 2**19, f"peak {peak} for a block of {P.nbytes} bytes"
+    return peak - labels.nbytes
+
+
+def test_predict_memory_does_not_grow_with_the_batch():
+    # Sparse d=300 queries at 60 nonzeros: one block of 256 rows is 0.59 MiB.
+    # Mapping the whole batch at once took 2.8 MiB for 1,000 and 21 MiB for 8,000.
+    dim = 300
+    train = [TrainingExample(x, 1 if k % 3 else -1)
+             for k, x in enumerate(sparse_queries(300, dim, 60, 17))]
+    model = Model(ModelParams(dim=dim, epsilon=0.01)).train_stream(train)
+    assert len(model.cover.cores) > 1
+    small, large = (predict_peak(model, sparse_queries(n, dim, 60, 16))
+                    for n in (1000, 8000))
+    assert max(small, large) <= 1.5 * 2**20, (small, large)
+    assert abs(large - small) <= 2**18, (small, large)
+
+
+def test_predict_caps_the_block_of_a_wide_model():
+    # One dense row of 2**17 + 1 values is 1 MiB; a 256-row block would be 256 MiB.
+    dim = 2**17
+    x = SparseVector(np.array([1, dim]), np.array([1.0, -2.0]))
+    model = Model(ModelParams(dim=dim)).train_stream([TrainingExample(x, 1)])
+    assert predict_peak(model, [x]) <= 4 * 2**20
+
+
+def test_a_query_label_does_not_depend_on_its_batch():
+    # Queries on the one ball's separator (p . c = 0), where the last bits of
+    # the dot product decide the label.
+    dim = 20
+    rng = np.random.default_rng(31)
+    normal = rng.standard_normal(dim)
+    train = []
+    for _ in range(3):
+        x = rng.standard_normal(dim)
+        x /= np.linalg.norm(x)
+        train.append(TrainingExample(SparseVector(np.arange(1, dim + 1), x),
+                                     1 if normal @ x >= 0.0 else -1))
+    model = Model(ModelParams(dim=dim, epsilon=0.05)).train_stream(train)
+    assert len(model.cover.cores) == 1
+    center = model.cover.cores[0].ball.center.explicit
+    length = np.linalg.norm(center[:-1])
+    c_hat, a = center[:-1] / length, -center[-1] / length
+    queries = []
+    for _ in range(3000):
+        u = rng.standard_normal(dim)
+        u -= (u @ c_hat) * c_hat
+        u /= np.linalg.norm(u)
+        queries.append(SparseVector(np.arange(1, dim + 1),
+                                    a * c_hat + math.sqrt(1.0 - a * a) * u))
+    batch = model.predict(queries)
+    alone = np.array([model.predict([q])[0] for q in queries])
+    reversed_batch = model.predict(queries[::-1])[::-1]
+    assert np.array_equal(batch, alone), int((batch != alone).sum())
+    assert np.array_equal(batch, reversed_batch), int((batch != reversed_batch).sum())
 
 
 BAD_QUERIES = {  # for dim 3
