@@ -28,8 +28,8 @@ from .meb import AugPoint
 
 __all__ = ["Model", "ModelParams", "feature_map"]
 
-QUERY_CHUNK = 256  # rows of predict's query block, unless that passes QUERY_BLOCK_BYTES
-QUERY_BLOCK_BYTES = 2**21  # so one query on a dim = 10**6 model takes 8 MB, not 2 GB
+QUERY_CHUNK = 256  # rows of predict's one query block: one GEMM shape for every chunk
+QUERY_BLOCK_BYTES = 2**21  # caps the block's rows when wide: dim=10**6 takes 8 MB, not 2 GB
 MARGIN2_RTOL = 1e-9  # margin^2 / kappa^2 at or below which a ball separates nothing
 _vdot = np.vdot.__wrapped__  # v.dot's bits, no overflow warning, no dispatch cost
 
