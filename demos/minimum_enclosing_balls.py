@@ -4,7 +4,9 @@
 The approximate solver adds the farthest point to an active set and
 re-solves the ball of the active points exactly, dropping points that no
 longer carry weight; the active points are the core set.  On small 2-D and
-3-D instances we can afford the exact enumeration oracle and compare.
+3-D instances we can afford the exact enumeration oracle and compare.  A
+point is a row and an id; raw geometry has no slack axes, so the solver's
+``slack_weight`` stays at its default of 0.
 """
 
 import sys
@@ -23,7 +25,7 @@ rng = np.random.default_rng(42)
 
 print("=== tiny hand-checkable instance ===")
 pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
-ball, core = approx_meb([AugPoint(p, 0.0, i) for i, p in enumerate(pts)], 0.01)
+ball, core = approx_meb([AugPoint(p, i) for i, p in enumerate(pts)], 0.01)
 center, radius = exact_meb_small(pts)
 print(f"exact : center {center}, radius {radius}")
 print(f"approx: center {ball.center.explicit}, radius {ball.radius:.6f}")
@@ -34,7 +36,7 @@ for trial in range(5):
     dim = int(rng.integers(2, 4))
     n = int(rng.integers(10, 51))
     pts = rng.normal(size=(n, dim))
-    ball, core = approx_meb([AugPoint(p, 0.0, i) for i, p in enumerate(pts)], 0.01)
+    ball, core = approx_meb([AugPoint(p, i) for i, p in enumerate(pts)], 0.01)
     _, r_exact = exact_meb_small(pts)
     dists = np.linalg.norm(pts - ball.center.explicit, axis=1)
     print(

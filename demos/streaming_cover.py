@@ -4,16 +4,18 @@
 Points are buffered L at a time; a buffered point that lands outside every
 (1+eps)-expanded ball triggers a merge, and merges can discard older balls
 whose radius fell below eps/4 of the newest one.  Storage stays small no
-matter how long the stream runs.
+matter how long the stream runs.  The cover takes eps, delta and the slack
+weight from ``ModelParams``; these raw 2-D points have no slack axes (C = inf).
 """
 
 import numpy as np
 
 from bbsvm.cover import BlurredBallCover, Lookahead
 from bbsvm.meb import AugPoint
+from bbsvm.model import ModelParams
 
 rng = np.random.default_rng(7)
-cover = BlurredBallCover(epsilon=0.05)
+cover = BlurredBallCover(ModelParams(dim=2, epsilon=0.05))
 buffer = Lookahead(capacity=10)
 
 print(f"eps = {cover.epsilon}, delta = {cover.delta}, L = {buffer.capacity}\n")
@@ -23,7 +25,7 @@ merges = 0
 for i in range(5000):
     # a drifting cluster: the stream keeps finding new territory for a while
     center = np.array([np.cos(i / 800.0), np.sin(i / 800.0)])
-    p = AugPoint(center + 0.2 * rng.normal(size=2), 0.0, i)
+    p = AugPoint(center + 0.2 * rng.normal(size=2), i)
     if cover.offer(buffer, p):
         merges += 1
     if (i + 1) % 1000 == 0:

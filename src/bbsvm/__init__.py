@@ -26,19 +26,15 @@ from .experiments import (
     run_experiment,
     write_csv,
 )
-from .meb import AugPoint, Ball, Center, CoreSet, approx_meb
+from .meb import approx_meb
 from .model import Model, ModelParams, feature_map
 from .model_file import ModelFormatError, load_model, save_model
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugPoint",
-    "Ball",
     "BlurredBallCover",
     "CSV_HEADER",
-    "Center",
-    "CoreSet",
     "DataFormatError",
     "Dataset",
     "ExperimentReport",

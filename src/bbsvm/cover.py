@@ -29,10 +29,14 @@ straight to ``escapes``, since building a block costs more than it saves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .meb import AugPoint, CoreSet, approx_meb
+
+if TYPE_CHECKING:  # model imports this module
+    from .model import ModelParams
 
 __all__ = ["BlurredBallCover", "Lookahead"]
 
@@ -52,15 +56,14 @@ class Lookahead:
 
 
 class BlurredBallCover:
-    """Retained (core set, ball) pairs plus the update rules that maintain them."""
+    """Retained (core set, ball) pairs plus the update rules that maintain them,
+    with the epsilon, delta and slack weight of ``params``, which checked them."""
 
-    def __init__(self, epsilon: float, delta: float | None = None):
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        self.epsilon = epsilon
-        self.delta = epsilon / 2.0 if delta is None else delta
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+    def __init__(self, params: ModelParams):
+        self.epsilon = params.epsilon
+        self.delta = params.delta
+        self.slack_weight = params.slack_weight
+        self._slack2 = self.slack_weight * self.slack_weight
         self.cores: list[CoreSet] = []
         self.points_seen = 0
         self._refresh_cache()
@@ -77,16 +80,15 @@ class BlurredBallCover:
         """
         if self._centers is None:
             return True
-        sw2 = p.slack_weight * p.slack_weight
         d = self._newest - p.explicit
         d *= d
-        if _row_sum(d) + self._newest_slack2 + sw2 <= self._newest_limit2:
+        if _row_sum(d) + self._newest_slack2 + self._slack2 <= self._newest_limit2:
             return False
         d = self._centers - p.explicit
         d *= d
         d2 = _row_sum(d, axis=1)
         d2 += self._center_slack2
-        d2 += sw2
+        d2 += self._slack2
         return bool((d2 > self._limits2).all())
 
     def offer(self, buffer: Lookahead, p: AugPoint) -> bool:
@@ -123,7 +125,7 @@ class BlurredBallCover:
             D *= D
             d2 = _row_sum(D, axis=1)
             d2 += self._newest_slack2
-            d2 += [p.slack_weight * p.slack_weight for p in pending]
+            d2 += self._slack2
             outside = (d2 > self._newest_limit2).nonzero()[0]
             merged = any(self.escapes(pending[i]) for i in outside)
         if merged:
@@ -144,7 +146,7 @@ class BlurredBallCover:
             for p in members:
                 by_id.setdefault(p.id, p)
         warm = self.cores[-1].members if self.cores else None
-        ball, core = approx_meb(list(by_id.values()), self.delta, warm=warm)
+        ball, core = approx_meb(list(by_id.values()), self.delta, self.slack_weight, warm)
         self.cores.append(core)
         cut = (self.epsilon / 4.0) * ball.radius
         self.cores = [cs for cs in self.cores if cs.ball.radius >= cut or cs is core]

@@ -1,7 +1,7 @@
 """Augmented-space geometry and (1+delta)-approximate minimum enclosing balls.
 
 Each point carries a dense explicit block plus one private "slack" axis,
-identified by the point id and materialized only as a scalar weight.  Ball
+identified by the point id, where it sits at its solve's slack weight.  Ball
 centers are convex combinations of such points, so a center's slack
 component is a sparse map from point id to coefficient.  All slack axes are
 mutually orthogonal and orthogonal to the explicit block, which keeps every
@@ -29,15 +29,13 @@ class AugPoint:
 
     ``explicit`` holds the block ``[y * x_hat ; y]`` for mapped training
     points (any dense vector for raw geometry), so a training point's label
-    is its last coordinate.  ``slack_weight`` is the coordinate along the
-    point's private slack axis: 1/sqrt(C) for training points under a finite
-    soft-margin penalty, 0 for test points and for C = inf.  ``id`` names
-    the slack axis; training ids are unique nonnegative stream indices, test
+    is its last coordinate.  ``id`` names the point's private slack axis,
+    where every point of a model sits at the model's slack weight (see
+    ``approx_meb``); training ids are unique nonnegative stream indices, test
     points use -1.
     """
 
     explicit: np.ndarray
-    slack_weight: float
     id: int
 
 
@@ -68,27 +66,30 @@ class CoreSet:
 
 
 def approx_meb(
-    points: Sequence[AugPoint], delta: float, warm: Sequence[AugPoint] | None = None
+    points: Sequence[AugPoint], delta: float, slack_weight: float = 0.0,
+    warm: Sequence[AugPoint] | None = None,
 ) -> tuple[Ball, CoreSet]:
     """Core-set MEB by a primal active-set method, with a duality-gap stop.
 
-    The dual is ``max q.a - a.K.a`` over the simplex, with ``K`` the Gram
-    matrix of the inputs and ``q`` its diagonal; the center is ``c = sum
-    a_i p_i``.  Starting from the first input point, each step adds the
-    farthest input to the active set ``A`` and solves the bordered KKT
-    system ``[[0, 1'], [1, 2 K_AA]]`` for the weights that put every active
-    point at one distance from the center.  When a weight would turn
-    non-positive, a ratio test stops on the segment from the old weights
-    and drops that point.  The state is ``A``, its weights and the bordered
-    matrix's inverse, updated in place by Schur complements; distances come
-    from the center (``2 K a`` is the inputs times ``2 c``), so a step costs
-    O(m d + |A| d + |A|^2).  Ties for the farthest point go to the lowest
-    id.  ``K_AA`` carries a ridge ``lam = 1e-3 * delta * dmax0^2 / 4``
-    (``dmax0`` the farthest distance from the first input), as if every
-    point had a private axis of length ``sqrt(lam)``, so every active set
-    is affinely independent.  When rounding in the inverse puts an active
-    input farthest, or gives the entering one no positive weight, the
-    inverse is rebuilt on ``A``; if the next step fails alike, the loop stops.
+    Every input sits at ``slack_weight`` on its own slack axis: 1/sqrt(C)
+    for training points, 0 for C = inf and for raw geometry.  The dual is
+    ``max q.a - a.K.a`` over the simplex, with ``K`` the Gram matrix of the
+    inputs and ``q`` its diagonal; the center is ``c = sum a_i p_i``.
+    Starting from the first input point, each step adds the farthest input
+    to the active set ``A`` and solves the bordered KKT system ``[[0, 1'],
+    [1, 2 K_AA]]`` for the weights that put every active point at one
+    distance from the center.  When a weight would turn non-positive, a
+    ratio test stops on the segment from the old weights and drops that
+    point.  The state is ``A``, its weights and the bordered matrix's
+    inverse, updated in place by Schur complements; distances come from the
+    center (``2 K a`` is the inputs times ``2 c``), so a step costs O(m d +
+    |A| d + |A|^2).  Ties for the farthest point go to the lowest id.
+    ``K_AA`` carries a ridge ``lam = 1e-3 * delta * dmax0^2 / 4`` (``dmax0``
+    the farthest distance from the first input), as if every point had a
+    private axis of length ``sqrt(lam)``, so every active set is affinely
+    independent.  When rounding in the inverse puts an active input
+    farthest, or gives the entering one no positive weight, the inverse is
+    rebuilt on ``A``; if the next step fails alike, the loop stops.
 
     ``warm`` lists inputs, matched by id (else ``ValueError``).  If two or
     more get positive weights from one KKT solve, the loop starts from them;
@@ -117,8 +118,7 @@ def approx_meb(
     ids = np.array([p.id for p in points])
     order = np.argsort(ids, kind="stable")
     E = np.array([points[k].explicit for k in order], dtype=float)
-    sw = np.array([points[k].slack_weight for k in order], dtype=float)
-    sw2 = sw * sw
+    sw2 = slack_weight * slack_weight
     start = int(order.argmin())  # where input 0 sits in id order
     # The inputs less the start point: the MEB moves with a translation, and
     # differences keep the distances accurate for a ball much smaller than
@@ -131,7 +131,7 @@ def approx_meb(
     def gap(a: np.ndarray, A: np.ndarray) -> tuple[int, float, float]:
         # Weights a on inputs A: the farthest input, dmax^2, sum a_i d_i^2.
         g = D2 @ (a @ D.take(A, axis=0))  # 2 K a; slack axes meet only on the diagonal
-        g[A] += 2.0 * sw2[A] * a
+        g[A] += 2.0 * sw2 * a
         c2 = 0.5 * float(a @ g[A])  # |c|^2
         h = q - g  # d_i^2 - |c|^2
         j = int(h.argmax())
@@ -242,11 +242,11 @@ def approx_meb(
     # distance; any drift in the Gram-form distances drops out here.
     A = act[:n]
     a = alpha[:n] / alpha[:n].sum()
-    cs = a * sw[A]
+    cs = a * slack_weight
     ce = E[start] + a @ D[A]
     diff = E - ce
     d2 = np.einsum("ij,ij->i", diff, diff) + (float(cs @ cs) + sw2)
-    d2[A] -= 2.0 * cs * sw[A]
+    d2[A] -= 2.0 * cs * slack_weight
     members = [points[k] for k in order[A]]
     coeffs = {p.id: float(c) for p, c in zip(members, cs) if c != 0.0}
     ball = Ball(Center(ce, coeffs), math.sqrt(max(float(d2.max()), 0.0)))

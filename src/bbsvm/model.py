@@ -152,7 +152,7 @@ def feature_map(
     """
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y!r}")
-    return AugPoint(_augment(x, y, params), params.slack_weight, point_id)
+    return AugPoint(_augment(x, y, params), point_id)
 
 
 @dataclass(eq=False)
@@ -164,7 +164,7 @@ class Model:
     params: ModelParams
 
     def __post_init__(self):
-        self.cover = BlurredBallCover(self.params.epsilon, self.params.delta)
+        self.cover = BlurredBallCover(self.params)
 
     def train_stream(self, examples: Iterable[TrainingExample]) -> "Model":
         """Consume a training stream in one pass.

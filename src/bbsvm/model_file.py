@@ -19,15 +19,15 @@ Format (UTF-8, one record per line, floats in shortest round-trip decimal):
     core <s>
     <id> <label> <d+1 floats> <slack_weight>   or   <id>   (s lines)
 
-A core point is written in full once, where it first appears, and as its
-bare id in later balls, which load it as the same shared point.  Its
-``<label>`` is the sign of its bias coordinate (the last float; 0 when that
-is not +-1), kept for older readers: loading checks that it is that sign
-and reads nothing else from it.  Every float round-trips exactly, so a reloaded
-model predicts identically and continues the stream as the saved model
-would: ``points_seen`` numbers the next training point and exceeds every
-member id, and each slack id is a member of its ball, listed once.
-Versions 1 and 2 write every member in full; version 1 lacks the delta,
+A core point is written in full once, where it first appears, and as its bare
+id in later balls, which load it as the same shared point.  Its ``<label>`` is
+the sign of its bias coordinate (the last float; 0 when that is not +-1) and
+its ``<slack_weight>`` the model's (1/sqrt(C), 0 for C=inf), both kept for
+older readers: loading checks them and keeps neither.  Every float round-trips
+exactly, so a reloaded model predicts identically and continues the stream as
+the saved model would: ``points_seen`` numbers the next training point and
+exceeds every member id, and each slack id is a member of its ball, listed
+once.  Versions 1 and 2 write every member in full; version 1 lacks the delta,
 lookahead and points_seen records (epsilon/2, 10, largest member id + 1).
 """
 
@@ -66,6 +66,7 @@ def save_model(model: Model, path) -> None:
         f"balls {len(model.cover.cores)}",
     ]
     written: set[int] = set()
+    weight = _f(params.slack_weight)  # every member's
     for cs in model.cover.cores:
         ball = cs.ball
         lines.append(f"ball {_f(ball.radius)}")
@@ -81,11 +82,8 @@ def save_model(model: Model, path) -> None:
             written.add(p.id)
             bias = p.explicit[-1]
             label = int(bias) if abs(bias) == 1.0 else 0
-            lines.append(
-                f"{p.id} {label} "
-                + " ".join(_f(v) for v in p.explicit)
-                + f" {_f(p.slack_weight)}"
-            )
+            coords = " ".join(_f(v) for v in p.explicit)
+            lines.append(f"{p.id} {label} {coords} {weight}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -179,11 +177,14 @@ def load_model(path) -> Model:
             if len(parts) > 1:
                 label = reader.number(parts[1], "member label", int)  # checked, not kept
                 coords = reader.floats(parts[2:-1], "member coordinate")
-                weight = reader.number(parts[-1], "member slack weight")
+                weight = reader.number(parts[-1], "member slack weight")  # likewise
                 if label != (int(coords[-1]) if abs(coords[-1]) == 1.0 else 0):
                     raise reader.error(f"member label {label} is not the sign of "
                                        f"its bias coordinate {coords[-1]}")
-                points[pid] = AugPoint(coords, weight, pid)
+                if weight != params.slack_weight:
+                    raise reader.error(f"member slack weight {weight} is not "
+                                       f"the model's {params.slack_weight}")
+                points[pid] = AugPoint(coords, pid)
             elif pid not in points:
                 raise reader.error(f"member {pid} was not written earlier")
             members.append(points[pid])

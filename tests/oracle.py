@@ -6,17 +6,27 @@ the plain one-point, one-ball versions of the same formulas, written from
 the definitions of the augmented space, the all-points-by-all-balls escape
 test whose decisions ``escapes`` must repeat bit for bit, a cover that
 decides each buffer point by point, and an exact minimum enclosing ball
-for dimension <= 3 to measure ``approx_meb`` against.  It also holds the small views the tests read and the library does
-not: a dense copy of a sparse vector, a point's and a center's squared
-norm, a query's mapped point, a cover's list of balls and its core point
-ids; and the single-pass perceptron, the baseline that the
-acceptance criteria and the experiment demo score the trainer against.
+for dimension <= 3 to measure ``approx_meb`` against.
+
+The library's points (``AugPoint``) are a row and an id: every point of a
+model sits at the model's slack weight on its own slack axis.  The formulas
+here read the weight from the point instead, a ``WeightedPoint``, so they
+also cover points of different weights; ``weighted`` gives a library point
+its model's weight.  The library takes a ``WeightedPoint`` wherever it takes
+an ``AugPoint``, since it reads only ``explicit`` and ``id``.
+
+This module also holds the small views the tests read and the library does
+not: a dense copy of a sparse vector, a point's and a center's squared norm,
+a query's mapped point, a cover's list of balls and its core point ids; and
+the single-pass perceptron, the baseline that the acceptance criteria and
+the experiment demo score the trainer against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +39,21 @@ from bbsvm.model import ModelParams, _augment
 TEST_POINT_ID = -1
 
 
+@dataclass(eq=False)
+class WeightedPoint:
+    """A point of the augmented space that carries its own slack weight: its
+    coordinate on the private slack axis that ``id`` names."""
+
+    explicit: np.ndarray
+    slack_weight: float
+    id: int
+
+
+def weighted(p: AugPoint, params: ModelParams) -> WeightedPoint:
+    """The library point ``p`` with the slack weight of its model."""
+    return WeightedPoint(p.explicit, params.slack_weight, p.id)
+
+
 def to_dense(x: SparseVector, dim: int) -> np.ndarray:
     """``x`` as a dense vector of length ``dim`` (index i at position i-1)."""
     out = np.zeros(dim)
@@ -36,7 +61,7 @@ def to_dense(x: SparseVector, dim: int) -> np.ndarray:
     return out
 
 
-def point_norm2(p: AugPoint) -> float:
+def point_norm2(p: WeightedPoint) -> float:
     """Squared norm of a point: its explicit block plus its slack axis."""
     return float(p.explicit @ p.explicit) + p.slack_weight**2
 
@@ -46,9 +71,9 @@ def center_norm2(c: Center) -> float:
     return float(c.explicit @ c.explicit) + c.slack_norm2
 
 
-def map_test_point(x: SparseVector, params: ModelParams) -> AugPoint:
+def map_test_point(x: SparseVector, params: ModelParams) -> WeightedPoint:
     """Map an unlabeled query to ``[x_hat ; 1]`` with no slack component."""
-    return AugPoint(_augment(x, 1, params), 0.0, TEST_POINT_ID)
+    return WeightedPoint(_augment(x, 1, params), 0.0, TEST_POINT_ID)
 
 
 def balls(cover: BlurredBallCover) -> list[Ball]:
@@ -61,7 +86,7 @@ def core_point_ids(cover: BlurredBallCover) -> list[int]:
     return list(dict.fromkeys(p.id for cs in cover.cores for p in cs.members))
 
 
-def inner_product(p: AugPoint, q: AugPoint) -> float:
+def inner_product(p: WeightedPoint, q: WeightedPoint) -> float:
     """Dot product in the augmented space; slack axes meet only on equal ids."""
     value = float(p.explicit @ q.explicit)
     if p.id == q.id:
@@ -69,7 +94,7 @@ def inner_product(p: AugPoint, q: AugPoint) -> float:
     return value
 
 
-def center_dot(c: Center, p: AugPoint) -> float:
+def center_dot(c: Center, p: WeightedPoint) -> float:
     """Dot product of a center with a point."""
     value = float(c.explicit @ p.explicit)
     coeff = c.slack_coeffs.get(p.id)
@@ -78,7 +103,7 @@ def center_dot(c: Center, p: AugPoint) -> float:
     return value
 
 
-def distance2(c: Center, p: AugPoint) -> float:
+def distance2(c: Center, p: WeightedPoint) -> float:
     """Squared distance from a center to a point.
 
     Slack coefficients on axes other than ``p.id`` contribute their squares;
@@ -96,13 +121,13 @@ def distance2(c: Center, p: AugPoint) -> float:
     return total
 
 
-def expansion_contains(b: Ball, p: AugPoint, eps: float) -> bool:
+def expansion_contains(b: Ball, p: WeightedPoint, eps: float) -> bool:
     """Closed membership test against the (1+eps)-expanded ball."""
     limit = (1.0 + eps) * b.radius
     return distance2(b.center, p) <= limit * limit
 
 
-def support(cover: BlurredBallCover, p: AugPoint) -> list[Ball]:
+def support(cover: BlurredBallCover, p: WeightedPoint) -> list[Ball]:
     """Balls of the cover that contain ``p`` (closed, unexpanded radii)."""
     return [
         cs.ball
@@ -111,7 +136,7 @@ def support(cover: BlurredBallCover, p: AugPoint) -> list[Ball]:
     ]
 
 
-def score(cover: BlurredBallCover, p: AugPoint) -> float:
+def score(cover: BlurredBallCover, p: WeightedPoint) -> float:
     """Sum of ``p``'s signed distances to the separators of its support.
 
     Each supporting ball contributes ``p . c / |c|``; a supporting ball with
@@ -126,7 +151,7 @@ def score(cover: BlurredBallCover, p: AugPoint) -> float:
 
 
 def escape_distances(
-    cover: BlurredBallCover, pts: Sequence[AugPoint]
+    cover: BlurredBallCover, pts: Sequence[WeightedPoint]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances (points, balls) of fresh points to every retained
     center, and the squared (1+eps)-expanded radii, as one 3-D broadcast.
@@ -144,7 +169,7 @@ def escape_distances(
     return d2, limits * limits
 
 
-def escape_mask(cover: BlurredBallCover, pts: Sequence[AugPoint]) -> np.ndarray:
+def escape_mask(cover: BlurredBallCover, pts: Sequence[WeightedPoint]) -> np.ndarray:
     """Per point: outside every (1+eps)-expanded retained ball."""
     d2, limits2 = escape_distances(cover, pts)
     return (d2 > limits2[None, :]).all(axis=1)

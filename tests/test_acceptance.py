@@ -16,12 +16,14 @@ from bbsvm.experiments import epsilon_sweep, run_experiment
 from bbsvm.meb import AugPoint, approx_meb
 from bbsvm.model import Model, ModelParams, feature_map
 from oracle import (
+    WeightedPoint,
     center_norm2,
     exact_meb_small,
     expansion_contains,
     map_test_point,
     perceptron_stream,
     support,
+    weighted,
 )
 
 DATASET_DIR = Path(__file__).resolve().parents[1] / "datasets"
@@ -64,7 +66,7 @@ def test_criterion_1_meb_oracle_equivalence():
                 pts = rng.normal(scale=0.3, size=(n, dim))
                 pts[n // 2 :] += 2.0
             ball, _ = approx_meb(
-                [AugPoint(p, 0.0, i) for i, p in enumerate(pts)], delta
+                [AugPoint(p, i) for i, p in enumerate(pts)], delta
             )
             _, r_exact = exact_meb_small(pts)
             assert ball.radius <= (1.0 + delta) * r_exact * (1.0 + 1e-9), (
@@ -82,8 +84,9 @@ def test_criterion_1_meb_oracle_equivalence():
 
 
 class _CheckingCover(BlurredBallCover):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, params):
+        super().__init__(params)
+        self.params = params
         self.merge_count = 0
 
     def merge_update(self, buf):
@@ -92,6 +95,7 @@ class _CheckingCover(BlurredBallCover):
         cut = (self.epsilon / 4.0) * self.cores[-1].ball.radius
         assert min(cs.ball.radius for cs in self.cores) >= cut
         for p in buf:
+            p = weighted(p, self.params)
             assert any(
                 expansion_contains(cs.ball, p, self.epsilon) for cs in self.cores
             )
@@ -122,7 +126,7 @@ def test_criterion_2_cover_invariant_suite():
 
             signatures = []
             for repeat in range(2):
-                cover = _CheckingCover(eps, params.delta)
+                cover = _CheckingCover(params)
                 buf = Lookahead(lookahead)
                 for i, ex in enumerate(ds.examples):
                     cover.offer(buf, feature_map(ex.x, ex.y, params, i))
@@ -172,7 +176,7 @@ def test_criterion_3_separator_geometry_properties():
             probes = generate_synthetic(500, 8, 0.0, 0.0, seed=302)
             for ex in probes.examples:
                 p = map_test_point(ex.x, params)
-                n = AugPoint(-p.explicit, 0.0, p.id)
+                n = WeightedPoint(-p.explicit, 0.0, p.id)
                 sup_p = {id(b) for b in support(model.cover, p)}
                 sup_n = {id(b) for b in support(model.cover, n)}
                 assert not (sup_p & sup_n)

@@ -231,7 +231,8 @@ def test_model_file_version_2_fixture_loads_its_records():
             cs.ball.center.explicit.tolist(),
             list(cs.ball.center.slack_coeffs.items()),
             # the label column is the bias coordinate
-            [(p.id, p.explicit[-1], p.explicit.tolist(), p.slack_weight) for p in cs.members],
+            [(p.id, p.explicit[-1], p.explicit.tolist(), model.params.slack_weight)
+             for p in cs.members],
         )
         for cs in model.cover.cores
     ] == _fixture_balls(lines)
@@ -380,6 +381,9 @@ def _line_index(lines, where):
          "member label 1 is not the sign of its bias coordinate 0.5"),
         ("member", "0 1 0 z 0 0 0 1 0.3", "bad member coordinate 'z'"),
         ("member", "0 1 0 0 0 0 0 1 w", "bad member slack weight 'w'"),
+        # Every member sits at the model's slack weight, 1/sqrt(10) here.
+        ("member", "0 1 0 0 0 0 0 1 0.3",
+         "member slack weight 0.3 is not the model's 0.31622776601683794"),
         ("reference", "r", "bad member id 'r'"),
         ("reference", "999999", "member 999999 was not written earlier"),
     ],
@@ -400,6 +404,29 @@ def test_model_file_names_a_bad_record_and_its_line(
     with pytest.raises(ModelFormatError) as err:
         load_model(bad)
     assert str(err.value) == f"line {index + 1}: {message}"
+    assert run_cli(["predict", "--model", str(bad), "--data", str(dataset_file)]) == 2
+
+
+@pytest.mark.parametrize("C, weight", [(10.0, "0.5"), (math.inf, "0.3")])
+def test_model_file_refuses_member_slack_weights_that_are_not_the_models(
+    tmp_path, dataset_file, C, weight
+):
+    # Every full member row edited to one other weight: the first is named.
+    ds = load_libsvm(dataset_file)
+    model = Model(ModelParams(dim=ds.dim, C=C)).train_stream(ds.examples)
+    save_model(model, tmp_path / "m.bbsvm")
+    lines = (tmp_path / "m.bbsvm").read_text().splitlines()
+    rows = [i for i, line in enumerate(lines) if len(line.split()) == ds.dim + 4]
+    for i in rows:
+        lines[i] = " ".join(lines[i].split()[:-1] + [weight])
+    bad = tmp_path / "bad.bbsvm"
+    bad.write_text("\n".join(lines) + "\n")
+    own = model.params.slack_weight
+    with pytest.raises(ModelFormatError) as err:
+        load_model(bad)
+    assert str(err.value) == (
+        f"line {rows[0] + 1}: member slack weight {weight} is not the model's {own}"
+    )
     assert run_cli(["predict", "--model", str(bad), "--data", str(dataset_file)]) == 2
 
 

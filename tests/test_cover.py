@@ -8,21 +8,29 @@ from hypothesis import strategies as st
 import bbsvm.cover
 from bbsvm.cover import BlurredBallCover, Lookahead
 from bbsvm.data import generate_synthetic
-from bbsvm.meb import AugPoint, Ball, Center, CoreSet, approx_meb
+from bbsvm.meb import Ball, Center, CoreSet, approx_meb
 from bbsvm.model import Model, ModelParams, feature_map
 from oracle import (
     PerPointCover,
+    WeightedPoint,
     balls,
     core_point_ids,
     distance2,
     escape_distances,
     escape_mask,
     expansion_contains,
+    weighted,
 )
 
 
 def raw(vec, pid):
-    return AugPoint(np.asarray(vec, dtype=float), 0.0, pid)
+    return WeightedPoint(np.asarray(vec, dtype=float), 0.0, pid)
+
+
+def raw_params(epsilon):
+    """Parameters of a cover of raw points: no slack axes (C = inf); the
+    cover reads no dimension."""
+    return ModelParams(dim=1, epsilon=epsilon)
 
 
 def ring(center, radius, count, start_id):
@@ -57,19 +65,19 @@ class CheckingCover(BlurredBallCover):
 
 
 def test_escapes_empty_cover():
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     assert cover.escapes(raw([0.0, 0.0], 0))
 
 
 def test_escapes_inside_expansion():
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     cover.merge_update([raw([1.0, 0.0], 0), raw([3.0, 0.0], 1)])  # ball ~ ((2,0), 1)
     assert not cover.escapes(raw([3.05, 0.0], 2))
     assert cover.escapes(raw([3.2, 0.0], 3))
 
 
 def test_escapes_boundary_counts_as_inside():
-    cover = BlurredBallCover(0.5)
+    cover = BlurredBallCover(raw_params(0.5))
     ball = Ball(Center(np.array([0.0, 0.0])), 1.0)
     cover.cores = [CoreSet([raw([0.0, 0.0], 0)], ball)]
     cover._refresh_cache()
@@ -100,6 +108,7 @@ def test_escapes_matches_exact_distances_on_trained_covers(
     for k, ex in enumerate(ds.examples[n:]):
         y = ex.y if k % 2 else -ex.y  # a flipped label mostly escapes
         p = feature_map(ex.x, y, model.params, cover.points_seen + k)
+        p = weighted(p, model.params)
         pairs = [
             (distance2(cs.ball.center, p), ((1.0 + eps) * cs.ball.radius) ** 2)
             for cs in cover.cores
@@ -129,6 +138,7 @@ def test_escapes_repeats_the_all_balls_reference(C, lookahead):
         feature_map(ex.x, ex.y if k % 2 else -ex.y, model.params, cover.points_seen + k)
         for k, ex in enumerate(fresh)
     ]
+    pts = [weighted(p, model.params) for p in pts]
     got = np.array([cover.escapes(p) for p in pts])
     assert np.array_equal(got, escape_mask(cover, pts))
     d2, limits2 = escape_distances(cover, pts)
@@ -151,7 +161,7 @@ def _on_older_boundaries(cover, slack_weight, first_id, tries=100):
         u /= np.linalg.norm(u)
         t = math.sqrt(limits2[i] - center_slack2[i] - slack_weight**2)
         for _ in range(64):  # walk t by ulps onto the boundary
-            p = AugPoint(centers[i] + t * u, slack_weight, first_id + len(found))
+            p = WeightedPoint(centers[i] + t * u, slack_weight, first_id + len(found))
             (d2,), _ = escape_distances(cover, [p])
             if d2[i] == limits2[i]:
                 if d2[-1] > limits2[-1]:
@@ -205,7 +215,7 @@ def test_the_buffer_block_test_trains_the_per_point_cover(
     params = ModelParams(dim=dim, epsilon=eps, C=C, lookahead=lookahead)
     model = Model(params)
     reference = Model(params)
-    reference.cover = PerPointCover(params.epsilon, params.delta)
+    reference.cover = PerPointCover(params)
     model.train_stream(ds.examples)
     reference.train_stream(ds.examples)
     assert cover_state(model.cover) == cover_state(reference.cover)
@@ -221,7 +231,7 @@ def _on_newest_boundary(cover, slack_weight, first_id, tries=600):
     on, past = [], []
 
     def at(t, u):
-        p = AugPoint(centers[-1] + t * u, slack_weight, first_id + len(on) + len(past))
+        p = WeightedPoint(centers[-1] + t * u, slack_weight, first_id + len(on) + len(past))
         (d2,), _ = escape_distances(cover, [p])
         return p, d2[-1]
 
@@ -252,7 +262,8 @@ def test_a_buffer_merges_iff_a_point_past_the_newest_boundary_escapes(C):
     model, fresh = _trained(C, 10)
     cover = model.cover
     first = cover.points_seen
-    inside = [feature_map(ex.x, ex.y, model.params, first + k) for k, ex in enumerate(fresh)]
+    inside = [weighted(feature_map(ex.x, ex.y, model.params, first + k), model.params)
+              for k, ex in enumerate(fresh)]
     d2, limits2 = escape_distances(cover, inside)
     inside = [p for p, row in zip(inside, d2) if row[-1] <= limits2[-1]]
     on, past = _on_newest_boundary(cover, model.params.slack_weight, first + len(fresh))
@@ -276,7 +287,7 @@ def test_a_buffer_merges_iff_a_point_past_the_newest_boundary_escapes(C):
 
 
 def test_offer_buffers_below_capacity():
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     buf = Lookahead(10)
     for i in range(9):
         assert cover.offer(buf, raw([float(i), 0.0], i)) is False
@@ -286,7 +297,7 @@ def test_offer_buffers_below_capacity():
 
 
 def test_offer_lookahead_zero_processes_immediately():
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     buf = Lookahead(0)
     assert buf.effective_capacity == 1
     assert cover.offer(buf, raw([2.0, 3.0], 0)) is True
@@ -297,7 +308,7 @@ def test_offer_lookahead_zero_processes_immediately():
 
 
 def test_offer_all_inside_clears_without_merge():
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     cover.merge_update(ring((0.0, 0.0), 1.0, 8, 0))
     balls_before = balls(cover)
     buf = Lookahead(3)
@@ -308,7 +319,7 @@ def test_offer_all_inside_clears_without_merge():
 
 
 def test_offer_capacity_reached_with_escape_merges():
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     buf = Lookahead(2)
     assert cover.offer(buf, raw([0.0, 0.0], 0)) is False
     assert cover.offer(buf, raw([1.0, 0.0], 1)) is True
@@ -320,14 +331,14 @@ def test_offer_capacity_reached_with_escape_merges():
 
 
 def test_merge_empty_cover_single_point():
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     cover.merge_update([raw([1.0, 1.0], 0)])
     assert len(cover.cores) == 1
     assert cover.cores[0].ball.radius == 0.0
 
 
 def test_merge_discards_tiny_old_ball():
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     cover.merge_update([raw([0.0, 0.0], 0)])  # radius-0 ball
     assert len(cover.cores) == 1
     cover.merge_update([raw([10.0, 0.0], 1)])
@@ -341,7 +352,7 @@ def test_merge_discards_tiny_old_ball():
 def test_merge_retains_old_ball_above_cut():
     # old cluster of radius 0.5; new merged ball radius <= 4 with eps = 0.1:
     # cut = 0.025 * r_new <= 0.1 < 0.5, so the old ball must survive.
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     cover.merge_update(ring((0.0, 0.0), 0.5, 10, 0))
     assert len(cover.cores) == 1
     r_old = cover.cores[0].ball.radius
@@ -354,7 +365,7 @@ def test_merge_retains_old_ball_above_cut():
 
 
 def test_merge_input_includes_retained_core_points():
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     cover.merge_update([raw([0.0, 0.0], 0), raw([2.0, 0.0], 1)])
     cover.merge_update([raw([4.0, 0.0], 2)])
     # the new ball covers old core members, not just the buffer
@@ -367,9 +378,9 @@ def _record_merge_inputs(monkeypatch) -> list[list[int]]:
     """Patch the cover's solver to log the ids of each merge input."""
     calls: list[list[int]] = []
 
-    def recording_meb(points, delta, warm=None):
+    def recording_meb(points, delta, slack_weight=0.0, warm=None):
         calls.append([p.id for p in points])
-        return approx_meb(points, delta, warm=warm)
+        return approx_meb(points, delta, slack_weight, warm)
 
     monkeypatch.setattr(bbsvm.cover, "approx_meb", recording_meb)
     return calls
@@ -377,7 +388,7 @@ def _record_merge_inputs(monkeypatch) -> list[list[int]]:
 
 def test_all_core_points_empty_and_simple(monkeypatch):
     # An empty cover adds nothing to the buffer; one ball adds its core set.
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     assert core_point_ids(cover) == []
     calls = _record_merge_inputs(monkeypatch)
     cover.merge_update([raw([5.0, 0.0], 20)])
@@ -392,7 +403,7 @@ def test_all_core_points_empty_and_simple(monkeypatch):
 
 
 def test_all_core_points_dedups_shared_members(monkeypatch):
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     shared = raw([0.0, 0.0], 7)
     ball1, _ = approx_meb([shared], 0.05)
     ball2, _ = approx_meb([shared, raw([1.0, 0.0], 8)], 0.05)
@@ -410,7 +421,7 @@ def test_all_core_points_dedups_shared_members(monkeypatch):
 def test_a_merge_passes_the_buffer_then_each_core_point_once(monkeypatch):
     # Two balls share the point 7: the solver gets the buffer, then every
     # retained core point once, in cover order, and starts from the newest core.
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(raw_params(0.1))
     shared = raw([0.0, 0.0], 7)
     first = [raw([0.0, 1.0], 9), shared]
     newest = [shared, raw([1.0, 0.0], 8)]
@@ -420,9 +431,9 @@ def test_a_merge_passes_the_buffer_then_each_core_point_once(monkeypatch):
     assert core_point_ids(cover) == [9, 7, 8]
     calls = []
 
-    def recording_meb(points, delta, warm=None):
+    def recording_meb(points, delta, slack_weight=0.0, warm=None):
         calls.append(([p.id for p in points], [p.id for p in warm]))
-        return approx_meb(points, delta, warm=warm)
+        return approx_meb(points, delta, slack_weight, warm)
 
     monkeypatch.setattr(bbsvm.cover, "approx_meb", recording_meb)
     cover.merge_update([raw([5.0, 0.0], 20), raw([5.0, 1.0], 21)])
@@ -436,7 +447,7 @@ def test_invariants_hold_on_random_streams():
     rng = np.random.default_rng(13)
     for trial in range(5):
         eps = [0.3, 0.15, 0.08][trial % 3]
-        cover = CheckingCover(eps)
+        cover = CheckingCover(raw_params(eps))
         buf = Lookahead([0, 3, 10][trial % 3])
         for i, vec in enumerate(rng.normal(size=(600, 4))):
             cover.offer(buf, raw(vec, i))
@@ -451,7 +462,7 @@ def test_cover_determinism_bit_for_bit():
     stream = [raw(v, i) for i, v in enumerate(rng.normal(size=(500, 3)))]
 
     def build():
-        cover = BlurredBallCover(0.1)
+        cover = BlurredBallCover(raw_params(0.1))
         buf = Lookahead(5)
         for p in stream:
             cover.offer(buf, p)
@@ -465,7 +476,8 @@ def test_cover_determinism_bit_for_bit():
 
 
 def test_invalid_parameters():
+    # The cover takes its constants from ModelParams, which checks them.
     with pytest.raises(ValueError, match="epsilon"):
-        BlurredBallCover(0.0)
+        ModelParams(dim=2, epsilon=0.0)
     with pytest.raises(ValueError, match="delta"):
-        BlurredBallCover(0.1, delta=-1.0)
+        ModelParams(dim=2, delta=-1.0)

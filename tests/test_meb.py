@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import signal
 import time
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from bbsvm.meb import AugPoint, Ball, Center, approx_meb
 from oracle import (
+    WeightedPoint,
     distance2,
     exact_meb_small,
     expansion_contains,
@@ -19,7 +21,12 @@ from oracle import (
 
 
 def raw(vec, pid, sw=0.0):
-    return AugPoint(np.asarray(vec, dtype=float), sw, pid)
+    return WeightedPoint(np.asarray(vec, dtype=float), sw, pid)
+
+
+def test_a_point_is_a_row_and_an_id():
+    # The slack weight belongs to the solve (and the model), not to a point.
+    assert [f.name for f in dataclasses.fields(AugPoint)] == ["explicit", "id"]
 
 
 # ---------------------------------------------------------------- inner_product
@@ -96,7 +103,7 @@ def test_distance2_nonnegative():
 
 def test_approx_meb_single_point():
     p = raw([1.0, 2.0], 0, sw=0.25)
-    ball, core = approx_meb([p], 0.1)
+    ball, core = approx_meb([p], 0.1, slack_weight=0.25)
     assert np.array_equal(ball.center.explicit, p.explicit)
     assert ball.center.slack_coeffs == {0: 0.25}
     assert ball.radius == 0.0
@@ -166,7 +173,7 @@ def test_approx_meb_slack_bookkeeping_consistency():
     ball, _ = approx_meb([raw(v, i) for i, v in enumerate(vecs)], 0.01)
     assert ball.center.slack_coeffs == {}
     pts = [raw(v, i, sw=0.5) for i, v in enumerate(vecs)]
-    ball, core = approx_meb(pts, 0.01)
+    ball, core = approx_meb(pts, 0.01, slack_weight=0.5)
     assert set(ball.center.slack_coeffs) == {p.id for p in core.members}
     farthest2 = max(distance2(ball.center, p) for p in pts)
     assert math.isclose(ball.radius**2, farthest2, rel_tol=1e-12)
@@ -175,7 +182,7 @@ def test_approx_meb_slack_bookkeeping_consistency():
 def test_approx_meb_finite_slack_center_combination():
     # Center slack coefficients follow the convex weights of the members.
     pts = [raw([1.0, 0.0, 1.0], 0, sw=1.0), raw([-1.0, 0.0, -1.0], 1, sw=1.0)]
-    ball, _ = approx_meb(pts, 0.01)
+    ball, _ = approx_meb(pts, 0.01, slack_weight=1.0)
     coeffs = ball.center.slack_coeffs
     assert set(coeffs) == {0, 1}
     assert math.isclose(coeffs[0], 0.5, rel_tol=1e-9)
@@ -218,7 +225,7 @@ def test_approx_meb_meets_its_contract_on_seeded_instances():
         sw = 0.5 if instance % 2 else 0.0
         delta = (0.1, 0.01, 0.003)[instance % 3]
         pts = [raw(v, int(i), sw=sw) for v, i in zip(vecs, ids)]
-        ball, core = approx_meb(pts, delta)
+        ball, core = approx_meb(pts, delta, slack_weight=sw)
         d2 = np.array([distance2(ball.center, p) for p in pts])
         assert d2.max() <= ball.radius**2 * (1.0 + 1e-12), f"instance {instance}"
         core_ids = [p.id for p in core.members]
@@ -284,7 +291,7 @@ def degenerate_sets(draw):
 def test_approx_meb_on_degenerate_sets_within_one_plus_delta(vecs, delta, sw):
     ids = np.random.default_rng(len(vecs)).permutation(3 * len(vecs))[: len(vecs)]
     pts = [raw(v, int(i), sw=sw) for v, i in zip(vecs, ids)]
-    ball, core = approx_meb(pts, delta)
+    ball, core = approx_meb(pts, delta, slack_weight=sw)
     for p in pts:
         assert distance2(ball.center, p) <= ball.radius**2 * (1.0 + 1e-12) + 1e-300
     core_ids = [p.id for p in core.members]
@@ -315,7 +322,7 @@ def test_approx_meb_from_any_warm_subset_within_one_plus_delta(vecs, delta, sw, 
     order = data.draw(st.permutations(range(len(pts))))
     warm = [pts[k] for k in order[: data.draw(st.integers(0, len(pts)))]]
     warm *= data.draw(st.integers(1, 2))  # a repeated point counts once
-    ball, core = approx_meb(pts, delta, warm=warm)
+    ball, core = approx_meb(pts, delta, slack_weight=sw, warm=warm)
     for p in pts:
         assert distance2(ball.center, p) <= ball.radius**2 * (1.0 + 1e-12) + 1e-300
     core_ids = [p.id for p in core.members]
@@ -323,7 +330,7 @@ def test_approx_meb_from_any_warm_subset_within_one_plus_delta(vecs, delta, sw, 
     assert set(core_ids) <= set(ids.tolist())
     assert (convex_weights(ball, core, sw) > 0.0).all()
     if sw:
-        r_star = approx_meb(pts, 1e-7)[0].radius
+        r_star = approx_meb(pts, 1e-7, slack_weight=sw)[0].radius
     else:
         _, r_star = exact_meb_small(vecs)
     assert ball.radius <= (1.0 + delta) * r_star * (1.0 + 1e-9) + 1e-12
@@ -344,9 +351,9 @@ def test_approx_meb_warm_from_the_last_core_meets_the_cold_contract():
         dim, sw = int(rng.integers(2, 30)), (0.0, 0.5)[trial % 2]
         vecs = rng.normal(size=(120, dim))
         pts = [raw(v, i, sw=sw) for i, v in enumerate(vecs)]
-        _, core = approx_meb(pts[:100], 1e-3)
-        ball, warm_core = approx_meb(pts, 1e-3, warm=core.members)
-        cold, _ = approx_meb(pts, 1e-3)
+        _, core = approx_meb(pts[:100], 1e-3, slack_weight=sw)
+        ball, warm_core = approx_meb(pts, 1e-3, slack_weight=sw, warm=core.members)
+        cold, _ = approx_meb(pts, 1e-3, slack_weight=sw)
         farthest2 = max(distance2(ball.center, p) for p in pts)
         assert farthest2 <= ball.radius**2 * (1.0 + 1e-12)
         a = convex_weights(ball, warm_core, sw)
@@ -442,7 +449,8 @@ def test_approx_meb_reruns_bit_for_bit():
         runs = []
         for _ in range(2):
             pts = [raw(v.copy(), i, sw=sw) for i, v in enumerate(vecs)]
-            runs.append(approx_meb(pts, 1e-4, warm=warm and [pts[k] for k in warm]))
+            warm_pts = warm and [pts[k] for k in warm]
+            runs.append(approx_meb(pts, 1e-4, slack_weight=sw, warm=warm_pts))
         (b1, c1), (b2, c2) = runs
         assert b1.radius == b2.radius
         assert b1.center.explicit.tobytes() == b2.center.explicit.tobytes()
@@ -480,7 +488,7 @@ def test_approx_meb_coincident_points_stop_at_zero_radius(copies, sw):
     for _ in range(20):
         vec = rng.normal(size=int(rng.integers(2, 300)))
         pts = [raw(vec.copy(), 10 - i, sw=sw) for i in range(copies)]
-        ball, core = approx_meb(pts, 1e-4)
+        ball, core = approx_meb(pts, 1e-4, slack_weight=sw)
         assert ball.radius == 0.0
         assert np.array_equal(ball.center.explicit, vec)
         assert [p.id for p in core.members] == [10]

@@ -21,7 +21,7 @@ from bbsvm.data import (
     generate_synthetic,
     parse_libsvm,
 )
-from bbsvm.meb import AugPoint, Ball, Center, CoreSet
+from bbsvm.meb import Ball, Center, CoreSet
 from bbsvm.model import (
     QUERY_CHUNK,
     Model,
@@ -33,6 +33,7 @@ from bbsvm.model import (
 )
 from bbsvm.model_file import load_model, save_model
 from oracle import (
+    WeightedPoint,
     center_dot,
     center_norm2,
     map_test_point,
@@ -40,6 +41,7 @@ from oracle import (
     score,
     support,
     to_dense,
+    weighted,
 )
 
 
@@ -49,7 +51,7 @@ def sv(*values):
 
 
 def raw(vec, pid):
-    return AugPoint(np.asarray(vec, dtype=float), 0.0, pid)
+    return WeightedPoint(np.asarray(vec, dtype=float), 0.0, pid)
 
 
 # ----------------------------------------------------------------- feature_map
@@ -59,9 +61,10 @@ def test_feature_map_normalizes_and_appends_bias():
     params = ModelParams(dim=2)
     p = feature_map(sv(3.0, 4.0), 1, params, 0)
     assert np.allclose(p.explicit, [0.6, 0.8, 1.0], atol=1e-15)
-    assert p.slack_weight == 0.0
+    assert params.slack_weight == 0.0  # the model's weight, not the point's
     assert p.explicit[-1] == 1.0  # the label is the bias coordinate
-    assert math.isclose(math.sqrt(point_norm2(p)), math.sqrt(2.0), rel_tol=1e-12)
+    norm2 = point_norm2(weighted(p, params))
+    assert math.isclose(math.sqrt(norm2), math.sqrt(2.0), rel_tol=1e-12)
 
 
 def test_feature_map_label_antisymmetry_exact():
@@ -75,8 +78,8 @@ def test_feature_map_finite_c_slack():
     params = ModelParams(dim=2, C=1.0)
     p = feature_map(sv(1.0, 0.0), 1, params, 3)
     assert np.array_equal(p.explicit, [1.0, 0.0, 1.0])
-    assert p.slack_weight == 1.0
-    assert math.isclose(point_norm2(p), params.kappa**2, rel_tol=1e-12)
+    assert params.slack_weight == 1.0
+    assert math.isclose(point_norm2(weighted(p, params)), params.kappa**2, rel_tol=1e-12)
     assert math.isclose(params.kappa, math.sqrt(3.0), rel_tol=1e-15)
 
 
@@ -293,7 +296,7 @@ def test_train_stream_separable_reaches_full_training_accuracy():
 
 
 def one_ball_cover(center_vec, radius, coeffs=None):
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(ModelParams(dim=1, epsilon=0.1))
     ball = Ball(Center(np.asarray(center_vec, dtype=float), coeffs or {}), radius)
     cover.cores = [CoreSet([], ball)]
     cover._refresh_cache()
@@ -301,7 +304,7 @@ def one_ball_cover(center_vec, radius, coeffs=None):
 
 
 def test_support_empty_cover():
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(ModelParams(dim=1, epsilon=0.1))
     assert support(cover, raw([0.0, 0.0], 0)) == []
 
 
@@ -324,7 +327,7 @@ def test_score_single_ball_distance():
 
 
 def test_score_sums_over_supporting_balls():
-    cover = BlurredBallCover(0.1)
+    cover = BlurredBallCover(ModelParams(dim=1, epsilon=0.1))
     b1 = Ball(Center(np.array([0.0, 2.0])), 1.5)
     b2 = Ball(Center(np.array([1.0, 1.0])), 2.0)
     cover.cores = [CoreSet([], b1), CoreSet([], b2)]
@@ -352,8 +355,9 @@ def test_slack_weight_follows_C_through_replace():
     # derived state, not a field: equality and repr are the fields' alone
     assert params == ModelParams(dim=2, C=10.0)
     assert "slack_weight" not in repr(params)
-    p = feature_map(sv(1.0, 0.0), 1, params, 0)
-    assert p.slack_weight == params.slack_weight
+    # The cover copies it; its points carry none.
+    assert Model(params).cover.slack_weight == params.slack_weight
+    assert Model(replace(params, C=4.0)).cover.slack_weight == 0.5
 
 
 @pytest.mark.parametrize("tail", [0, 2000])
@@ -654,7 +658,7 @@ def test_predict_matches_scalar_score_rule(monkeypatch):
     expected = []
     for ex in queries:
         p = map_test_point(ex.x, model.params)
-        neg = AugPoint(-p.explicit, 0.0, p.id)
+        neg = WeightedPoint(-p.explicit, 0.0, p.id)
         s = score(model.cover, p) - score(model.cover, neg)
         if s != 0.0:
             expected.append(1 if s > 0 else -1)
@@ -707,10 +711,26 @@ def test_support_disjoint_for_mirrored_queries():
     queries = generate_synthetic(200, 6, 0.0, 0.0, seed=13).examples
     for ex in queries:
         p = map_test_point(ex.x, model.params)
-        neg = AugPoint(-p.explicit, 0.0, p.id)
+        neg = WeightedPoint(-p.explicit, 0.0, p.id)
         sup_p = {id(b) for b in support(model.cover, p)}
         sup_n = {id(b) for b in support(model.cover, neg)}
         assert not (sup_p & sup_n)
+
+
+def test_the_public_api_is_exactly_these_names():
+    # The package namespace grows only on purpose; the geometry types
+    # (AugPoint, Ball, Center, CoreSet) live in bbsvm.meb.
+    assert sorted(bbsvm.__all__) == sorted([
+        "BlurredBallCover", "CSV_HEADER", "DataFormatError", "Dataset",
+        "ExperimentReport", "Model", "ModelFormatError", "ModelParams", "RunResult",
+        "SparseVector", "TrainingExample", "approx_meb", "epsilon_sweep",
+        "feature_map", "format_libsvm", "generate_synthetic", "load_libsvm",
+        "load_model", "parse_libsvm", "run_experiment", "save_model", "shuffled",
+        "write_csv",
+    ])
+    assert len(bbsvm.__all__) == len(set(bbsvm.__all__)) == 23
+    for name in bbsvm.__all__:
+        assert getattr(bbsvm, name) is not None, name
 
 
 def test_library_runs_without_scipy():
