@@ -231,7 +231,8 @@ def _on_newest_boundary(cover, slack_weight, first_id, tries=600):
     on, past = [], []
 
     def at(t, u):
-        p = WeightedPoint(centers[-1] + t * u, slack_weight, first_id + len(on) + len(past))
+        pid = first_id + len(on) + len(past)
+        p = WeightedPoint(centers[-1] + t * u, slack_weight, pid)
         (d2,), _ = escape_distances(cover, [p])
         return p, d2[-1]
 
