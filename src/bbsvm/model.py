@@ -34,7 +34,7 @@ MARGIN2_RTOL = 1e-9  # margin^2 / kappa^2 at or below which a ball separates not
 _vdot = np.vdot.__wrapped__  # v.dot's bits, no overflow warning, no dispatch cost
 
 
-@dataclass
+@dataclass(frozen=True)  # the cover copies epsilon, delta and the slack weight
 class ModelParams:
     """Training configuration; ``delta`` defaults to ``epsilon / 2``."""
 
@@ -57,11 +57,12 @@ class ModelParams:
         if self.lookahead < 0:
             raise ValueError("lookahead must be nonnegative")
         if self.delta is None:
-            self.delta = self.epsilon / 2.0
+            object.__setattr__(self, "delta", self.epsilon / 2.0)
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
         # Not a field: derived from C, once, here and on dataclasses.replace.
-        self.slack_weight = 0.0 if math.isinf(self.C) else 1.0 / math.sqrt(self.C)
+        weight = 0.0 if math.isinf(self.C) else 1.0 / math.sqrt(self.C)
+        object.__setattr__(self, "slack_weight", weight)
 
     @property
     def kappa(self) -> float:

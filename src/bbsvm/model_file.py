@@ -29,6 +29,9 @@ the saved model would: ``points_seen`` numbers the next training point and
 exceeds every member id, and each slack id is a member of its ball, listed
 once.  Versions 1 and 2 write every member in full; version 1 lacks the delta,
 lookahead and points_seen records (epsilon/2, 10, largest member id + 1).
+A slack block loads in one pass and a bare member id without a full row's
+checks; a slack block that fails is read again line by line, so every error
+still names its line.
 """
 
 from __future__ import annotations
@@ -70,20 +73,19 @@ def save_model(model: Model, path) -> None:
     for cs in model.cover.cores:
         ball = cs.ball
         lines.append(f"ball {_f(ball.radius)}")
-        lines.append("center " + " ".join(_f(v) for v in ball.center.explicit))
+        # tolist() gives Python floats, whose repr is _f's text
+        lines.append("center " + " ".join(map(repr, ball.center.explicit.tolist())))
         lines.append(f"slack {len(ball.center.slack_coeffs)}")
-        for pid, coeff in ball.center.slack_coeffs.items():
-            lines.append(f"{pid} {_f(coeff)}")
+        lines.extend(f"{pid} {c!r}" for pid, c in ball.center.slack_coeffs.items())
         lines.append(f"core {len(cs.members)}")
         for p in cs.members:
             if p.id in written:
                 lines.append(str(p.id))
                 continue
             written.add(p.id)
-            bias = p.explicit[-1]
-            label = int(bias) if abs(bias) == 1.0 else 0
-            coords = " ".join(_f(v) for v in p.explicit)
-            lines.append(f"{p.id} {label} {coords} {weight}")
+            row = p.explicit.tolist()
+            label = int(row[-1]) if abs(row[-1]) == 1.0 else 0
+            lines.append(f"{p.id} {label} {' '.join(map(repr, row))} {weight}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -99,7 +101,7 @@ class _Reader:
 
     def next(self) -> list[str]:
         if self.pos >= len(self.lines):
-            raise ModelFormatError("unexpected end of model file")
+            raise ModelFormatError(f"line {self.pos + 1}: unexpected end of model file")
         self.pos += 1
         return self.lines[self.pos - 1].split()
 
@@ -157,41 +159,57 @@ def load_model(path) -> Model:
         explicit = reader.floats(reader.tagged("center"), "center coordinate")
         if explicit.size != dim + 1:
             raise reader.error("center has the wrong dimension")
-        coeffs: dict[int, float] = {}
-        slack_lines = []
-        for _ in range(reader.record("slack", int)):
-            parts = reader.next()
-            if len(parts) != 2:
-                raise reader.error("slack coefficient needs an id and a value")
-            pid = reader.number(parts[0], "slack id", int)
-            if pid in coeffs:
-                raise reader.error(f"slack id {pid} repeats")
-            coeffs[pid] = reader.number(parts[1], "slack coefficient")
-            slack_lines.append((reader.pos, pid))
+        count = reader.record("slack", int)
+        first = reader.pos  # the block's k-th entry is on line first + k + 1
+        try:  # the block in one pass; line by line only to name the first bad one
+            block = reader.lines[first : first + count]
+            coeffs = {int(a): float(b) for a, b in map(str.split, block)}
+        except ValueError:
+            coeffs = {}
+        if len(coeffs) == count:  # else a bad line, a repeated id or a cut
+            reader.pos += count
+        else:
+            coeffs = {}
+            for _ in range(count):
+                parts = reader.next()
+                if len(parts) != 2:
+                    raise reader.error("slack coefficient needs an id and a value")
+                pid = reader.number(parts[0], "slack id", int)
+                if pid in coeffs:
+                    raise reader.error(f"slack id {pid} repeats")
+                coeffs[pid] = reader.number(parts[1], "slack coefficient")
         members = []
-        for _ in range(reader.record("core", int)):
-            parts = reader.next()
-            if len(parts) not in (1, dim + 4):
-                raise reader.error("core member has the wrong field count")
-            pid = reader.number(parts[0], "member id", int)
-            if len(parts) > 1:
-                label = reader.number(parts[1], "member label", int)  # checked, not kept
-                coords = reader.floats(parts[2:-1], "member coordinate")
-                weight = reader.number(parts[-1], "member slack weight")  # likewise
-                if label != (int(coords[-1]) if abs(coords[-1]) == 1.0 else 0):
-                    raise reader.error(f"member label {label} is not the sign of "
-                                       f"its bias coordinate {coords[-1]}")
-                if weight != params.slack_weight:
-                    raise reader.error(f"member slack weight {weight} is not "
-                                       f"the model's {params.slack_weight}")
-                points[pid] = AugPoint(coords, pid)
-            elif pid not in points:
-                raise reader.error(f"member {pid} was not written earlier")
+        count = reader.record("core", int)
+        for line in reader.lines[reader.pos : reader.pos + max(count, 0)]:
+            reader.pos += 1
+            pid = int(line) if line.isdecimal() else None  # a bare id: no checks
+            if pid not in points:
+                parts = line.split()
+                if len(parts) not in (1, dim + 4):
+                    raise reader.error("core member has the wrong field count")
+                pid = reader.number(parts[0], "member id", int)
+                if len(parts) > 1:
+                    # label and weight are checked, not kept
+                    label = reader.number(parts[1], "member label", int)
+                    coords = reader.floats(parts[2:-1], "member coordinate")
+                    weight = reader.number(parts[-1], "member slack weight")
+                    if label != (int(coords[-1]) if abs(coords[-1]) == 1.0 else 0):
+                        raise reader.error(f"member label {label} is not the sign of "
+                                           f"its bias coordinate {coords[-1]}")
+                    if weight != params.slack_weight:
+                        raise reader.error(f"member slack weight {weight} is not "
+                                           f"the model's {params.slack_weight}")
+                    points[pid] = AugPoint(coords, pid)
+                elif pid not in points:
+                    raise reader.error(f"member {pid} was not written earlier")
             members.append(points[pid])
+        for _ in range(count - len(members)):
+            reader.next()  # raises: the block runs past the end of the file
         ids = {p.id for p in members}  # ids below points_seen, checked below
-        for line, pid in slack_lines:
-            if pid not in ids:
-                raise ModelFormatError(f"line {line}: slack id {pid} is no core member")
+        if not ids.issuperset(coeffs):
+            k, pid = next((k, pid) for k, pid in enumerate(coeffs) if pid not in ids)
+            raise ModelFormatError(
+                f"line {first + k + 1}: slack id {pid} is no core member")
         cores.append(CoreSet(members, Ball(Center(explicit, coeffs), radius)))
     if reader.pos < len(reader.lines):
         raise ModelFormatError(f"line {reader.pos + 1}: record after the last ball")

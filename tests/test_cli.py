@@ -198,6 +198,26 @@ V2_MODEL = FIXTURES / "v2_model.bbsvm"
 V2_PARAMS = ModelParams(dim=3, epsilon=0.02, C=10.0, lookahead=5)
 
 
+# Written by save_model at commit aa361a2 from v3_train.txt (sparse rows of
+# both labels) with these parameters; it pins the writer's BBSVM 3 bytes.
+V3_MODEL = FIXTURES / "v3_model.bbsvm"
+V3_PARAMS = ModelParams(dim=6, epsilon=0.02, C=10.0, lookahead=3)
+
+
+def test_model_file_version_3_fixture_pins_the_written_bytes(tmp_path):
+    text = V3_MODEL.read_text()
+    fields = [line.split() for line in text.splitlines()]
+    assert sum(len(f) == 1 for f in fields) > 0  # bare-id members
+    assert sum(len(f) == 2 and f[0].isdigit() for f in fields) > 0  # slack entries
+    assert " -0.0 " in text
+    ds = load_libsvm(FIXTURES / "v3_train.txt")
+    assert {ex.y for ex in ds.examples} == {-1, 1}
+    save_model(Model(V3_PARAMS).train_stream(ds.examples), tmp_path / "trained.bbsvm")
+    assert (tmp_path / "trained.bbsvm").read_bytes() == V3_MODEL.read_bytes()
+    save_model(load_model(V3_MODEL), tmp_path / "again.bbsvm")
+    assert (tmp_path / "again.bbsvm").read_bytes() == V3_MODEL.read_bytes()
+
+
 def _fixture_balls(lines):
     """Radius, center, slack items and member rows of each ball, read from
     the text of a ``BBSVM 2`` file, where every member is a full row."""
@@ -407,6 +427,47 @@ def test_model_file_names_a_bad_record_and_its_line(
     assert run_cli(["predict", "--model", str(bad), "--data", str(dataset_file)]) == 2
 
 
+def _later_block_line(lines, block, position):
+    """Index of the middle or the last line of the third ball's ``slack`` or
+    ``core`` block."""
+    head = [i for i, line in enumerate(lines) if line.split()[0] == block][2]
+    count = int(lines[head].split()[1])
+    assert count >= 3
+    return head + (count // 2 + 1 if position == "middle" else count)
+
+
+@pytest.mark.parametrize("position", ["middle", "last"])
+@pytest.mark.parametrize(
+    "block, edit, message",
+    [
+        ("slack", "1 2 3", "slack coefficient needs an id and a value"),
+        ("slack", "x 0.5", "bad slack id 'x'"),
+        ("slack", "{own} y", "bad slack coefficient 'y'"),
+        ("slack", "{first} 0.5", "slack id {first} repeats"),
+        ("slack", "100 0.5", "slack id 100 is no core member"),
+        ("core", "r", "bad member id 'r'"),
+        ("core", "999999", "member 999999 was not written earlier"),
+        ("core", "1 2 3", "core member has the wrong field count"),
+    ],
+)
+def test_model_file_names_a_bad_line_inside_a_later_block(
+    tmp_path, dataset_file, block, position, edit, message
+):
+    ds = load_libsvm(dataset_file)
+    model = Model(ModelParams(dim=ds.dim, C=10.0)).train_stream(ds.examples)
+    save_model(model, tmp_path / "m.bbsvm")
+    lines = (tmp_path / "m.bbsvm").read_text().splitlines()
+    index = _later_block_line(lines, block, position)
+    head = max(i for i in range(index) if lines[i].startswith(block + " "))
+    ids = {"first": lines[head + 1].split()[0], "own": lines[index].split()[0]}
+    lines[index] = edit.format(**ids)
+    bad = tmp_path / "bad.bbsvm"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError) as err:
+        load_model(bad)
+    assert str(err.value) == f"line {index + 1}: {message.format(**ids)}"
+
+
 @pytest.mark.parametrize("C, weight", [(10.0, "0.5"), (math.inf, "0.3")])
 def test_model_file_refuses_member_slack_weights_that_are_not_the_models(
     tmp_path, dataset_file, C, weight
@@ -431,10 +492,25 @@ def test_model_file_refuses_member_slack_weights_that_are_not_the_models(
 
 
 def test_model_file_detects_truncation(tmp_path, model_file):
-    text = model_file.read_text().splitlines()
+    # A file cut anywhere names its first missing line: halfway, inside a
+    # slack block and inside a core block (after one of its lines).
+    half = model_file.read_text().splitlines()
+    lines = V3_MODEL.read_text().splitlines()
+    slack = lines.index("slack 3") + 2
+    core = lines.index("core 3") + 2
     truncated = tmp_path / "trunc.bbsvm"
-    truncated.write_text("\n".join(text[: len(text) // 2]) + "\n")
-    with pytest.raises(ModelFormatError):
+    for kept in (half[: len(half) // 2], lines[:slack], lines[:core]):
+        truncated.write_text("\n".join(kept) + "\n")
+        with pytest.raises(ModelFormatError) as err:
+            load_model(truncated)
+        assert str(err.value) == f"line {len(kept) + 1}: unexpected end of model file"
+    # A bad line before the cut is named first, as in a whole file.
+    truncated.write_text("\n".join(lines[: slack - 1] + ["x 0.5"]) + "\n")
+    with pytest.raises(ModelFormatError, match=f"^line {slack}: bad slack id 'x'$"):
+        load_model(truncated)
+    truncated.write_text("\n".join(lines[: core - 1] + ["999999"]) + "\n")
+    message = f"^line {core}: member 999999 was not written earlier$"
+    with pytest.raises(ModelFormatError, match=message):
         load_model(truncated)
 
 

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +358,18 @@ def test_slack_weight_follows_C_through_replace():
     # The cover copies it; its points carry none.
     assert Model(params).cover.slack_weight == params.slack_weight
     assert Model(replace(params, C=4.0)).cover.slack_weight == 0.5
+
+
+def test_params_are_frozen():
+    # The cover copies epsilon, delta and the slack weight, so a field set
+    # on a live model would save a file that contradicts itself.
+    model = Model(ModelParams(dim=2, C=10.0))
+    for name in ("dim", "epsilon", "C", "lookahead", "delta", "slack_weight"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(model.params, name, 4.0)
+    assert model.params.C == 10.0
+    assert replace(model.params, C=4.0).slack_weight == 0.5
+    assert replace(model.params, epsilon=0.1, delta=None).delta == 0.05
 
 
 @pytest.mark.parametrize("tail", [0, 2000])
