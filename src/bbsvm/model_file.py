@@ -125,8 +125,12 @@ class _Reader:
             return np.array([self.number(v, what) for v in texts])
 
     def record(self, tag: str, kind=float):
-        """The value of the one-value record ``tag`` (no value or two are bad)."""
-        return self.number(" ".join(self.tagged(tag)), tag, kind)
+        """The value of the one-value record ``tag`` (no value or two are bad);
+        an int record counts something, so it is never negative."""
+        value = self.number(" ".join(self.tagged(tag)), tag, kind)
+        if kind is int and value < 0:
+            raise self.error(f"{tag} {value} is negative")
+        return value
 
 
 def load_model(path) -> Model:
@@ -180,7 +184,7 @@ def load_model(path) -> Model:
                 coeffs[pid] = reader.number(parts[1], "slack coefficient")
         members = []
         count = reader.record("core", int)
-        for line in reader.lines[reader.pos : reader.pos + max(count, 0)]:
+        for line in reader.lines[reader.pos : reader.pos + count]:
             reader.pos += 1
             pid = int(line) if line.isdecimal() else None  # a bare id: no checks
             if pid not in points:

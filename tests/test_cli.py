@@ -378,9 +378,11 @@ def _line_index(lines, where):
         # 94 is the largest member id of the model below: equal is too small.
         ("points_seen", "points_seen 94", "points_seen 94 is not above every member id"),
         ("balls", "balls 2.5", "bad balls '2.5'"),
+        ("balls", "balls -1", "balls -1 is negative"),
         ("ball", "ball r", "bad ball 'r'"),
         ("center", "center 1 2", "center has the wrong dimension"),
         ("slack", "slack many", "bad slack 'many'"),
+        ("slack", "slack -5", "slack -5 is negative"),
         ("slack entry", "x 0.5", "bad slack id 'x'"),
         ("slack entry", "3 y", "bad slack coefficient 'y'"),
         ("slack entry", "3", "slack coefficient needs an id and a value"),
@@ -391,6 +393,7 @@ def _line_index(lines, where):
         # coefficient.
         ("second slack entry", "{first} 123.0", "slack id {first} repeats"),
         ("core", "core", "bad core ''"),
+        ("core", "core -1", "core -1 is negative"),
         ("member", "1 2 3", "core member has the wrong field count"),
         ("member", "a +1 0 0 0 0 0 1 0.3", "bad member id 'a'"),
         ("member", "0 one 0 0 0 0 0 1 0.3", "bad member label 'one'"),
@@ -425,6 +428,21 @@ def test_model_file_names_a_bad_record_and_its_line(
         load_model(bad)
     assert str(err.value) == f"line {index + 1}: {message}"
     assert run_cli(["predict", "--model", str(bad), "--data", str(dataset_file)]) == 2
+
+
+def test_a_negative_slack_count_is_refused_where_it_would_read_as_empty(tmp_path):
+    # At C = inf every slack block is empty, so "slack -5" once read as
+    # "slack 0" and the file loaded.
+    ds = generate_synthetic(60, 3, 0.1, 0.0, seed=4)
+    model = Model(ModelParams(dim=3)).train_stream(ds.examples)
+    save_model(model, tmp_path / "m.bbsvm")
+    lines = (tmp_path / "m.bbsvm").read_text().splitlines()
+    index = lines.index("slack 0")
+    lines[index] = "slack -5"
+    bad = tmp_path / "bad.bbsvm"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match=f"^line {index + 1}: slack -5 is negative$"):
+        load_model(bad)
 
 
 def _later_block_line(lines, block, position):
@@ -514,16 +532,13 @@ def test_model_file_detects_truncation(tmp_path, model_file):
         load_model(truncated)
 
 
-@pytest.mark.parametrize("count", ["1", "-2"])
-def test_model_file_rejects_records_after_the_last_ball(tmp_path, count):
+def test_model_file_rejects_records_after_the_last_ball(tmp_path):
     lines = V2_MODEL.read_text().splitlines()
-    index = lines.index("balls 5")
-    lines[index] = f"balls {count}"
+    lines[lines.index("balls 5")] = "balls 1"
     bad = tmp_path / "short.bbsvm"
     bad.write_text("\n".join(lines) + "\n")
     balls = [i for i, line in enumerate(lines) if line.startswith("ball ")]
-    first_extra = balls[1] if count == "1" else index + 1
-    message = f"line {first_extra + 1}: record after the last ball"
+    message = f"line {balls[1] + 1}: record after the last ball"
     with pytest.raises(ModelFormatError, match=f"^{message}$"):
         load_model(bad)
 

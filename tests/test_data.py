@@ -1,5 +1,7 @@
+import gc
 import gzip
 import io
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -135,7 +137,7 @@ def _line_parser(lines):
     """The reference: the line parser alone, over every line."""
 
     def parse():
-        rows = data._parse_lines(lines, 1)
+        rows, _ = data._parse_lines(lines, 1)
         return data.Dataset(rows, max((int(r.x.indices[-1]) for r in rows), default=0))
 
     return parse
@@ -194,11 +196,66 @@ def test_the_chunked_parser_equals_the_line_parser(text, chunk, final_newline):
 def test_canonical_lines_take_the_block_path():
     text = format_libsvm(generate_synthetic(30, 4, 0.1, 0.0, seed=3))
     lines = text.splitlines(keepends=True)
-    rows = data._parse_block(lines)
-    assert _outcome(lambda: data.Dataset(rows, 4)) == _outcome(_line_parser(lines))
+    rows, top = data._parse_block(lines, {})
+    assert _outcome(lambda: data.Dataset(rows, top)) == _outcome(_line_parser(lines))
     # The last line may lack its newline; a line with a comment may not.
-    assert data._parse_block(["+1 1:2 3:0.5"]) is not None
-    assert data._parse_block(["+1 1:2 3:0.5 # c\n"]) is None
+    assert data._parse_block(["+1 1:2 3:0.5"], {}) is not None
+    assert data._parse_block(["+1 1:2 3:0.5 # c\n"], {}) is None
+
+
+def _dense_text(n, dim, seed):
+    return format_libsvm(generate_synthetic(n, dim, 0.1, 0.0, seed=seed))
+
+
+def test_dense_rows_share_one_index_array_a_length_and_stay_small():
+    text = _dense_text(2000, 20, seed=5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ds = parse_libsvm(io.StringIO(text))  # many chunks: one array for the parse
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len({id(ex.x.indices) for ex in ds.examples}) == 1
+    assert ds.examples[0].x.indices.tolist() == list(range(1, 21))
+    # 320 bytes of values; a view of a per-chunk index copy, and a __dict__
+    # on each row object, kept 729.
+    assert kept / len(ds) <= 450
+
+
+def test_a_mixed_chunk_gives_sparse_rows_their_own_indices():
+    lines = ["+1 1:0.5 2:1\n", "-1 2:3 5:1\n", "+1 1:2\n", "-1 1:1 2:2 4:3\n",
+             "+1 1:7 2:-1\n", "-1 3:0.25\n"]
+    shared = {}
+    rows, top = data._parse_block(lines, shared)
+    assert top == 5 and sorted(shared) == [1, 2]
+    assert rows[0].x.indices is rows[4].x.indices is shared[2]
+    assert rows[2].x.indices is shared[1]
+    for k in (1, 3, 5):
+        assert not any(rows[k].x.indices is a for a in shared.values())
+    assert _outcome(lambda: data.Dataset(rows, top)) == _outcome(_line_parser(lines))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+1 1:1 2:2\n-1 1:3\n",  # block parser, shared arrays
+        "+1 2:1 5:2\n-1 1:3 4:1\n",  # block parser, views of a chunk's copy
+        "+1 1:1 2:2 # c\n-1 3:1\n",  # line parser
+        None,  # generate_synthetic
+    ],
+    ids=["block-dense", "block-sparse", "lines", "synthetic"],
+)
+def test_every_row_index_array_is_read_only(text):
+    if text is None:
+        ds = generate_synthetic(2, 3, 0.1, 0.0, seed=2)
+    else:
+        ds = parse_libsvm(text)
+    for ex in ds.examples:
+        assert ex.x.indices.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            ex.x.indices[0] = 5
 
 
 def test_an_error_on_the_first_line_of_a_later_chunk_names_its_file_line(tmp_path):
@@ -206,7 +263,7 @@ def test_an_error_on_the_first_line_of_a_later_chunk_names_its_file_line(tmp_pat
     path = tmp_path / "d.txt.gz"
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         fh.write("".join(lines[:20]) + "+1 2:1 1:1\n" + "".join(lines[20:]))
-    assert data._parse_block(lines[:20]) is not None
+    assert data._parse_block(lines[:20], {}) is not None
     message = (
         r"^line 21: feature indices must be strictly increasing \(got 1 after 2\)$"
     )
