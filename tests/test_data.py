@@ -203,12 +203,8 @@ def test_canonical_lines_take_the_block_path():
     assert data._parse_block(["+1 1:2 3:0.5 # c\n"], {}) is None
 
 
-def _dense_text(n, dim, seed):
-    return format_libsvm(generate_synthetic(n, dim, 0.1, 0.0, seed=seed))
-
-
 def test_dense_rows_share_one_index_array_a_length_and_stay_small():
-    text = _dense_text(2000, 20, seed=5)
+    text = format_libsvm(generate_synthetic(2000, 20, 0.1, 0.0, seed=5))
     gc.collect()
     tracemalloc.start()
     try:
@@ -219,8 +215,8 @@ def test_dense_rows_share_one_index_array_a_length_and_stay_small():
         tracemalloc.stop()
     assert len({id(ex.x.indices) for ex in ds.examples}) == 1
     assert ds.examples[0].x.indices.tolist() == list(range(1, 21))
-    # 320 bytes of values; a view of a per-chunk index copy, and a __dict__
-    # on each row object, kept 729.
+    # 160 bytes of values a row.  With its own view of a per-chunk index
+    # copy and a __dict__ on each row object, a row kept 729.
     assert kept / len(ds) <= 450
 
 
