@@ -9,14 +9,18 @@ comment, tab or blank line) is read by one ``np.fromstring`` call; any other
 chunk, and any with an error, goes line by line, which gives the same rows
 and names the line of the first error.  A chunk's transient copies peak at
 about 0.4 MB, three times its text.  Index arrays are read-only: a block row
-with indices 1..k shares one per k for the whole parse, other rows view their
-chunk's copy.  A dense 20-feature row keeps about 380 bytes, 160 its values.
+with indices 1..k, like every row of ``generate_synthetic``, holds the one
+live array ``_dense_index(k)``, shared by every parse while any row holds it;
+other rows view their chunk's copy.  The feature map copies the values of a
+row that holds that array in place of scattering them.  A dense 20-feature
+row keeps about 380 bytes, 160 its values.
 """
 
 from __future__ import annotations
 
 import gzip
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -89,9 +93,9 @@ def parse_libsvm(lines: Iterable[str] | str) -> Dataset:
     if isinstance(lines, str):
         lines = lines.splitlines(keepends=True)
     examples: list[TrainingExample] = []
-    first, dim, shared = 1, 0, {}
+    first, dim = 1, 0
     for chunk in _chunks(lines):
-        rows, top = _parse_block(chunk, shared) or _parse_lines(chunk, first)
+        rows, top = _parse_block(chunk) or _parse_lines(chunk, first)
         examples += rows
         dim = max(dim, top)
         first += len(chunk)
@@ -101,6 +105,19 @@ def parse_libsvm(lines: Iterable[str] | str) -> Dataset:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+# Weak, so an array lives only while some row holds it: a strong cache would
+# keep one array for every length ever parsed.
+_dense_indices: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _dense_index(k: int) -> np.ndarray:
+    """The one live read-only int64 array ``1..k``, made if no row holds it."""
+    index = _dense_indices.get(k)
+    if index is None:
+        index = _dense_indices[k] = _read_only(np.arange(1, k + 1, dtype=np.int64))
+    return index
 
 
 def _chunks(lines: Iterable[str]) -> Iterator[list[str]]:
@@ -116,7 +133,7 @@ def _chunks(lines: Iterable[str]) -> Iterator[list[str]]:
         yield chunk
 
 
-def _parse_block(lines: list[str], shared: dict) -> tuple[list, int] | None:
+def _parse_block(lines: list[str]) -> tuple[list, int] | None:
     """Rows and top index of ``lines`` read as one block, or None for the line parser.
 
     Taken are ASCII lines ``<label>( <index>:<value>)+``, single-spaced, with
@@ -165,8 +182,7 @@ def _parse_block(lines: list[str], shared: dict) -> tuple[list, int] | None:
     # Indices rise from 1 or more, so a row is 1..k when its last index is k.
     dense = index[stops - 1] == stops - starts
     index = index if dense.all() else _read_only(index.astype(np.int64))
-    for k in set((stops - starts)[dense].tolist()) - shared.keys():
-        shared[k] = _read_only(np.arange(1, k + 1, dtype=np.int64))
+    shared = {k: _dense_index(k) for k in set((stops - starts)[dense].tolist())}
     ys = np.where(labels == 1.0, 1, -1).tolist()
     return [
         TrainingExample(SparseVector(shared[b - a] if d else index[a:b], values[a:b]), y)
@@ -296,7 +312,7 @@ def generate_synthetic(
         flip = rng.random(n) < noise
         labels[flip] *= -1
 
-    index = _read_only(np.arange(1, dim + 1, dtype=np.int64))
+    index = _dense_index(dim)
     examples = [
         TrainingExample(SparseVector(index, points[i].copy()), int(labels[i]))
         for i in range(n)

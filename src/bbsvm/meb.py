@@ -131,7 +131,8 @@ def approx_meb(
     def gap(a: np.ndarray, A: np.ndarray) -> tuple[int, float, float]:
         # Weights a on inputs A: the farthest input, dmax^2, sum a_i d_i^2.
         g = D2 @ (a @ D.take(A, axis=0))  # 2 K a; slack axes meet only on the diagonal
-        g[A] += 2.0 * sw2 * a
+        if sw2:  # 0 at C = inf, where the diagonal adds only zeros
+            g[A] += 2.0 * sw2 * a
         c2 = 0.5 * float(a @ g[A])  # |c|^2
         h = q - g  # d_i^2 - |c|^2
         j = int(h.argmax())

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cover import BlurredBallCover, Lookahead
-from .data import SparseVector, TrainingExample
+from .data import SparseVector, TrainingExample, _dense_indices
 from .meb import AugPoint
 
 __all__ = ["Model", "ModelParams", "feature_map"]
@@ -85,23 +85,30 @@ def _norm(row: np.ndarray) -> float:
 def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
     """The explicit block ``[sign * x_hat ; sign]`` of a mapped input.
 
-    Raises ``ValueError`` unless the indices lie in 1..dim (dim+1 is the bias
-    slot; NumPy refuses one above dim, and the first is checked against 1,
-    which covers sorted rows), then unless the ``_norm`` of the dense row is
-    finite and nonzero with a finite reciprocal: no NaN or inf reaches a ball.
+    A row that holds the live ``1..dim`` array of ``data._dense_index`` (told
+    by identity, never by content) has its values copied; any other row is
+    scattered.  Raises ``ValueError`` unless the indices lie in 1..dim (dim+1
+    is the bias slot; NumPy refuses one above dim, and the first is checked
+    against 1, which covers sorted rows), then unless the ``_norm`` of the
+    dense row is finite and nonzero with a finite reciprocal: no NaN or inf
+    reaches a ball.
     """
     dim = params.dim
-    if x.indices.size and x.indices[0] < 1:
-        raise ValueError(f"feature index {x.indices[0]} is below 1")
     explicit = np.zeros(dim + 1)
     features = explicit[:-1]
-    try:
-        features[x.indices - 1] = x.values
-    except IndexError:  # name the index; an unsorted row may also wrap below 1
-        top = x.indices.max()
-        if top > dim:
-            raise ValueError(f"feature index {top} exceeds dimension {dim}") from None
-        raise ValueError(f"feature index {x.indices.min()} is below 1") from None
+    # The size first: it costs far less than the weak-map lookup.
+    if x.indices.size == dim and x.indices is _dense_indices.get(dim):
+        features[...] = x.values
+    else:
+        if x.indices.size and x.indices[0] < 1:
+            raise ValueError(f"feature index {x.indices[0]} is below 1")
+        try:
+            features[x.indices - 1] = x.values
+        except IndexError:  # name the index; an unsorted row may also wrap below 1
+            top = x.indices.max()
+            if top > dim:
+                raise ValueError(f"feature index {top} exceeds dimension {dim}") from None
+            raise ValueError(f"feature index {x.indices.min()} is below 1") from None
     norm = _norm(features)
     if not 0.0 < norm < math.inf or 1.0 / norm == math.inf:
         raise ValueError("input vector needs a finite nonzero norm with a finite "
@@ -118,15 +125,22 @@ def _query_rows(
 ) -> np.ndarray:
     """The rows ``_augment(x, 1, params)`` of a chunk, bit for bit, mapped into
     ``P[:len(chunk)]`` and returned; errors number the queries from ``first``.
-    One ``np.vecdot`` takes the norms of the rows with ``_norm``'s ddot."""
+    A chunk whose every row holds the live ``1..dim`` array of
+    ``data._dense_index`` has its values copied as one block; any other chunk
+    is scattered.  One ``np.vecdot`` takes the norms of the rows with
+    ``_norm``'s ddot."""
     Q = P[: len(chunk)]
-    Q.fill(0.0)
-    cols = np.concatenate([x.indices for x in chunk]) - 1
-    if ((0 <= cols) & (cols < params.dim)).all():  # else all rows stay 0: refused
-        sizes = [x.indices.size for x in chunk]  # scatter through the flat block
-        cols += np.repeat(np.arange(0, Q.size, P.shape[1]), sizes)
-        P.reshape(-1)[cols] = np.concatenate([x.values for x in chunk])
     F = Q[:, :-1]
+    index = _dense_indices.get(params.dim)
+    if index is not None and all(x.indices is index for x in chunk):
+        F[...] = np.concatenate([x.values for x in chunk]).reshape(F.shape)
+    else:
+        Q.fill(0.0)
+        cols = np.concatenate([x.indices for x in chunk]) - 1
+        if ((0 <= cols) & (cols < params.dim)).all():  # else all rows stay 0: refused
+            sizes = [x.indices.size for x in chunk]  # scatter through the flat block
+            cols += np.repeat(np.arange(0, Q.size, P.shape[1]), sizes)
+            P.reshape(-1)[cols] = np.concatenate([x.values for x in chunk])
     norms = np.sqrt(np.vecdot(F, F))
     for k in np.flatnonzero((norms == math.inf) | (norms == 0.0)):
         norms[k] = _norm(F[k])  # rescaled
@@ -138,7 +152,7 @@ def _query_rows(
                 _augment(SparseVector(x.indices[order], x.values[order]), 1, params)
             except ValueError as err:
                 raise ValueError(f"query {k}: {err}") from err
-    Q *= scale[:, None]  # whole contiguous rows; the bias slot is 0 until set
+    Q *= scale[:, None]  # whole contiguous rows; the bias slot is set below
     Q[:, -1] = 1.0
     return Q
 

@@ -2,6 +2,7 @@ import gc
 import gzip
 import io
 import tracemalloc
+import weakref
 from unittest.mock import patch
 
 import numpy as np
@@ -196,11 +197,11 @@ def test_the_chunked_parser_equals_the_line_parser(text, chunk, final_newline):
 def test_canonical_lines_take_the_block_path():
     text = format_libsvm(generate_synthetic(30, 4, 0.1, 0.0, seed=3))
     lines = text.splitlines(keepends=True)
-    rows, top = data._parse_block(lines, {})
+    rows, top = data._parse_block(lines)
     assert _outcome(lambda: data.Dataset(rows, top)) == _outcome(_line_parser(lines))
     # The last line may lack its newline; a line with a comment may not.
-    assert data._parse_block(["+1 1:2 3:0.5"], {}) is not None
-    assert data._parse_block(["+1 1:2 3:0.5 # c\n"], {}) is None
+    assert data._parse_block(["+1 1:2 3:0.5"]) is not None
+    assert data._parse_block(["+1 1:2 3:0.5 # c\n"]) is None
 
 
 def test_dense_rows_share_one_index_array_a_length_and_stay_small():
@@ -223,14 +224,30 @@ def test_dense_rows_share_one_index_array_a_length_and_stay_small():
 def test_a_mixed_chunk_gives_sparse_rows_their_own_indices():
     lines = ["+1 1:0.5 2:1\n", "-1 2:3 5:1\n", "+1 1:2\n", "-1 1:1 2:2 4:3\n",
              "+1 1:7 2:-1\n", "-1 3:0.25\n"]
-    shared = {}
-    rows, top = data._parse_block(lines, shared)
+    rows, top = data._parse_block(lines)
+    shared = {k: a for k, a in data._dense_indices.items()
+              if any(row.x.indices is a for row in rows)}
     assert top == 5 and sorted(shared) == [1, 2]
-    assert rows[0].x.indices is rows[4].x.indices is shared[2]
-    assert rows[2].x.indices is shared[1]
+    assert rows[0].x.indices is rows[4].x.indices is shared[2] is data._dense_index(2)
+    assert rows[2].x.indices is shared[1] is data._dense_index(1)
     for k in (1, 3, 5):
-        assert not any(rows[k].x.indices is a for a in shared.values())
+        assert not any(rows[k].x.indices is a for a in data._dense_indices.values())
     assert _outcome(lambda: data.Dataset(rows, top)) == _outcome(_line_parser(lines))
+
+
+def test_dense_rows_hold_one_index_array_a_length_while_any_row_holds_it():
+    text = format_libsvm(generate_synthetic(5, 13, 0.1, 0.0, seed=4))
+    first, second = parse_libsvm(text), parse_libsvm(io.StringIO(text))
+    synthetic = generate_synthetic(3, 13, 0.1, 0.0, seed=5)
+    live = weakref.ref(data._dense_index(13))
+    assert all(ex.x.indices is live()
+               for ds in (first, second, synthetic) for ex in ds.examples)
+    del first, second
+    gc.collect()
+    assert live() is not None and data._dense_index(13) is live()  # synthetic's rows
+    del synthetic
+    gc.collect()
+    assert live() is None and 13 not in data._dense_indices
 
 
 @pytest.mark.parametrize(
@@ -259,7 +276,7 @@ def test_an_error_on_the_first_line_of_a_later_chunk_names_its_file_line(tmp_pat
     path = tmp_path / "d.txt.gz"
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         fh.write("".join(lines[:20]) + "+1 2:1 1:1\n" + "".join(lines[20:]))
-    assert data._parse_block(lines[:20], {}) is not None
+    assert data._parse_block(lines[:20]) is not None
     message = (
         r"^line 21: feature indices must be strictly increasing \(got 1 after 2\)$"
     )

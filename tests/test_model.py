@@ -12,6 +12,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import bbsvm.model
+from bbsvm import data
 from bbsvm.cover import BlurredBallCover
 from bbsvm.data import (
     Dataset,
@@ -453,19 +454,24 @@ def test_predict_error_names_the_query(bad):
 def query_batches(draw):
     """(dim, height, queries) with a first chunk of ``height`` queries and a
     shorter second one: dense and sparse rows (the first dense, the second
-    sparse, so a chunk of two or more mixes lengths), magnitudes from 1e-200 to
-    1e200, signed zeros and zero rows, and values as float64, as strided views,
-    as int64 or as float32."""
+    sparse, so a chunk of two or more mixes lengths), or only dense rows on
+    the live 1..dim array of ``data._dense_index``; a dense row holds that
+    array or a fresh one, so a chunk can mix canonical and sparse rows.
+    Magnitudes from 1e-200 to 1e200, signed zeros and zero rows, and values
+    as float64, as strided views, as int64 or as float32."""
     dim = draw(st.integers(1, 40))
     height = draw(st.integers(2, 5))
+    canonical = draw(st.booleans())  # every row copied, no row scattered
     mantissas = st.floats(0.5, 10.0) | st.floats(-10.0, -0.5)
     zeros = st.sampled_from([0.0, -0.0])
     wide = st.builds(lambda m, e: m * 10.0**e, mantissas, st.integers(-200, 200))
     narrow = st.builds(lambda m, e: m * 10.0**e, mantissas, st.integers(-30, 30))
     queries = []
     for position in range(draw(st.integers(height + 1, 2 * height - 1))):
-        if position == 0 or (position > 1 and draw(st.booleans())):
-            indices = np.arange(1, dim + 1)
+        if canonical:
+            indices = data._dense_index(dim)
+        elif position == 0 or (position > 1 and draw(st.booleans())):
+            indices = data._dense_index(dim) if draw(st.booleans()) else np.arange(1, dim + 1)
         else:
             size = max(1, dim - 1)
             chosen = draw(st.sets(st.integers(1, dim), min_size=1, max_size=size))
@@ -512,6 +518,35 @@ def test_query_block_rows_are_the_bits_of_the_per_point_map(batch):
         assert block.shape == (len(chunk), dim + 1) and np.shares_memory(block, P)
         want = np.stack(rows[first : first + height])
         assert np.array_equal(block.view(np.int64), want.view(np.int64))
+
+
+def test_the_copy_path_is_chosen_by_identity_not_content():
+    # A fresh 1..dim array, or one permutation of 1..dim held by every row of
+    # a chunk, is scattered: each row maps as its dense equivalent does.
+    dim = 6
+    params = ModelParams(dim=dim)
+    canonical = data._dense_index(dim)
+    perm = np.array([3, 1, 6, 2, 5, 4])
+    values = [np.array([0.5, -0.0, 3.0, -2.0, 0.0, 1e-3]),
+              np.array([-1.0, 2.0, -0.0, 0.25, 7.0, 0.0])]
+
+    def bits(rows):
+        return np.stack(rows).view(np.int64)
+
+    for index in (np.arange(1, dim + 1), perm):
+        dense = []
+        for v in values:
+            d = np.empty(dim)
+            d[index - 1] = v
+            dense.append(_augment(SparseVector(canonical, d), 1, params))
+        rows = [SparseVector(index, v) for v in values]
+        assert np.array_equal(bits([_augment(x, 1, params) for x in rows]), bits(dense))
+        P = np.full((len(rows), dim + 1), np.nan)
+        assert np.array_equal(bits(_query_rows(rows, params, P, 0)), bits(dense))
+    for v in values:  # -1 scales every zero to its opposite sign in both paths
+        by_copy = feature_map(SparseVector(canonical, v), -1, params, 0).explicit
+        by_scatter = feature_map(SparseVector(np.arange(1, dim + 1), v), -1, params, 0)
+        assert np.array_equal(by_copy.view(np.int64), by_scatter.explicit.view(np.int64))
 
 
 def sparse_queries(n, dim, nnz, seed):
