@@ -8,12 +8,10 @@ of canonical lines (ASCII ``<label> <index>:<value> ...``, single spaces, no
 comment, tab or blank line) is read by one ``np.fromstring`` call; any other
 chunk, and any with an error, goes line by line, which gives the same rows
 and names the line of the first error.  A chunk's transient copies peak at
-about 0.4 MB, three times its text.  Index arrays are read-only: a block row
-with indices 1..k, like every row of ``generate_synthetic``, holds the one
-live array ``_dense_index(k)``, shared by every parse while any row holds it;
-other rows view their chunk's copy.  The feature map copies the values of a
-row that holds that array in place of scattering them.  A dense 20-feature
-row keeps about 380 bytes, 160 its values.
+about 0.4 MB, three times its text.  Index arrays are read-only: a row with
+indices 1..k, parsed or synthetic, holds the one live ``_dense_index(k)``,
+which tells the feature map to copy it; other rows view their chunk's copy.
+A dense 20-feature row keeps about 380 bytes, 160 its values.
 """
 
 from __future__ import annotations
@@ -109,7 +107,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 # Weak, so an array lives only while some row holds it: a strong cache would
 # keep one array for every length ever parsed.
-_dense_indices: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_dense_indices = weakref.WeakValueDictionary()
 
 
 def _dense_index(k: int) -> np.ndarray:

@@ -85,13 +85,12 @@ def _norm(row: np.ndarray) -> float:
 def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
     """The explicit block ``[sign * x_hat ; sign]`` of a mapped input.
 
-    A row that holds the live ``1..dim`` array of ``data._dense_index`` (told
-    by identity, never by content) has its values copied; any other row is
-    scattered.  Raises ``ValueError`` unless the indices lie in 1..dim (dim+1
-    is the bias slot; NumPy refuses one above dim, and the first is checked
-    against 1, which covers sorted rows), then unless the ``_norm`` of the
-    dense row is finite and nonzero with a finite reciprocal: no NaN or inf
-    reaches a ball.
+    A row holding ``data._dense_index(dim)`` (by identity, not content) is
+    copied, any other scattered.  Raises ``ValueError`` unless the indices lie
+    in 1..dim (dim+1 is the bias slot; NumPy refuses one above dim, and the
+    first is checked against 1, which covers sorted rows), then unless the
+    ``_norm`` of the dense row is finite and nonzero with a finite
+    reciprocal: no NaN or inf reaches a ball.
     """
     dim = params.dim
     explicit = np.zeros(dim + 1)
@@ -125,10 +124,9 @@ def _query_rows(
 ) -> np.ndarray:
     """The rows ``_augment(x, 1, params)`` of a chunk, bit for bit, mapped into
     ``P[:len(chunk)]`` and returned; errors number the queries from ``first``.
-    A chunk whose every row holds the live ``1..dim`` array of
-    ``data._dense_index`` has its values copied as one block; any other chunk
-    is scattered.  One ``np.vecdot`` takes the norms of the rows with
-    ``_norm``'s ddot."""
+    A chunk whose every row holds ``data._dense_index(dim)`` is copied as one
+    block, any other scattered.  One ``np.vecdot`` takes the norms of the
+    rows with ``_norm``'s ddot."""
     Q = P[: len(chunk)]
     F = Q[:, :-1]
     index = _dense_indices.get(params.dim)
