@@ -6,7 +6,6 @@ feature space, using a blurred ball cover for sublinear space; classification
 aggregates the linear separators encoded by the retained ball centers.
 """
 
-from .cover import BlurredBallCover
 from .data import (
     DataFormatError,
     Dataset,
@@ -27,13 +26,12 @@ from .experiments import (
     write_csv,
 )
 from .meb import approx_meb
-from .model import Model, ModelParams, feature_map
+from .model import Model, ModelParams
 from .model_file import ModelFormatError, load_model, save_model
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlurredBallCover",
     "CSV_HEADER",
     "DataFormatError",
     "Dataset",
@@ -46,7 +44,6 @@ __all__ = [
     "TrainingExample",
     "approx_meb",
     "epsilon_sweep",
-    "feature_map",
     "format_libsvm",
     "generate_synthetic",
     "load_libsvm",

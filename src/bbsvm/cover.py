@@ -49,10 +49,6 @@ class Lookahead:
 
     capacity: int
     pending: list[AugPoint] = field(default_factory=list)
-    effective_capacity: int = field(init=False)
-
-    def __post_init__(self):
-        self.effective_capacity = max(self.capacity, 1)
 
 
 class BlurredBallCover:
@@ -103,7 +99,7 @@ class BlurredBallCover:
         pending = buffer.pending
         pending.append(p)
         self.points_seen += 1
-        if len(pending) < buffer.effective_capacity:
+        if len(pending) < buffer.capacity:  # at L = 0 too: p is already in
             return False
         return self._process(buffer)
 

@@ -46,10 +46,14 @@ class DataFormatError(ValueError):
 
 @dataclass(eq=False, slots=True)
 class SparseVector:
-    """Sparse real vector with 1-based, strictly increasing indices."""
+    """Sparse real vector with 1-based, strictly increasing indices, one value each."""
 
     indices: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        if len(self.indices) != len(self.values):
+            raise ValueError(f"{len(self.values)} values for {len(self.indices)} indices")
 
 
 @dataclass(eq=False, slots=True)

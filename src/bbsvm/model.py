@@ -171,32 +171,37 @@ def feature_map(
 @dataclass(eq=False)
 class Model:
     """Streaming SVM state, built from ``params`` alone: the ball ``cover``,
-    whose ``points_seen`` numbers the next training point.
+    whose ``points_seen`` numbers the next training point, and the lookahead
+    ``buffer`` of points fed but not yet tested, which only ``finish`` flushes.
     """
 
     params: ModelParams
 
     def __post_init__(self):
         self.cover = BlurredBallCover(self.params)
+        self.buffer = Lookahead(self.params.lookahead)
 
-    def train_stream(self, examples: Iterable[TrainingExample]) -> "Model":
-        """Consume a training stream in one pass.
-
-        Each example is mapped with its stream position as id and offered
-        to the cover through a lookahead buffer of this call; a final
-        partial-buffer flush runs one last merge check.
-        """
-        params, cover = self.params, self.cover
-        buffer = Lookahead(params.lookahead)
+    def feed(self, examples: Iterable[TrainingExample]) -> "Model":
+        """Map each example with its stream position as id and offer it to the
+        cover, with no flush: any chunking of a stream gives one pass's cover."""
+        params, cover, buffer = self.params, self.cover, self.buffer
         offer = cover.offer
-        for position, ex in enumerate(examples):
+        for ex in examples:
             try:  # the module global, looked up per point, so a patched one is used
                 p = feature_map(ex.x, ex.y, params, cover.points_seen)
             except ValueError as err:
-                raise ValueError(f"training example {position}: {err}") from err
+                raise ValueError(f"training example {cover.points_seen}: {err}") from err
             offer(buffer, p)
-        cover.flush(buffer)
         return self
+
+    def finish(self) -> "Model":
+        """End the stream: one last merge check on a partial buffer."""
+        self.cover.flush(self.buffer)
+        return self
+
+    def train_stream(self, examples: Iterable[TrainingExample]) -> "Model":
+        """Consume a training stream in one pass: ``feed``, then ``finish``."""
+        return self.feed(examples).finish()
 
     def predict(self, xs: Sequence[SparseVector]) -> np.ndarray:
         """Labels for a batch of queries (vector of -1/+1 ints).

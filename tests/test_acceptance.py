@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bbsvm.cover import BlurredBallCover, Lookahead
+from bbsvm.cover import BlurredBallCover
 from bbsvm.data import Dataset, generate_synthetic, load_libsvm, shuffled
 from bbsvm.experiments import epsilon_sweep, run_experiment
 from bbsvm.meb import AugPoint, approx_meb
-from bbsvm.model import Model, ModelParams, feature_map
+from bbsvm.model import Model, ModelParams
 from oracle import (
     WeightedPoint,
     center_norm2,
@@ -126,11 +126,9 @@ def test_criterion_2_cover_invariant_suite():
 
             signatures = []
             for repeat in range(2):
-                cover = _CheckingCover(params)
-                buf = Lookahead(lookahead)
-                for i, ex in enumerate(ds.examples):
-                    cover.offer(buf, feature_map(ex.x, ex.y, params, i))
-                cover.flush(buf)
+                model = Model(params)
+                model.cover = cover = _CheckingCover(params)
+                model.train_stream(ds.examples)
                 signatures.append(_stream_signature(cover))
             assert signatures[0] == signatures[1], f"stream {stream_index} not deterministic"
             total_merges += cover.merge_count
@@ -275,17 +273,15 @@ def test_criterion_6_sublinear_space():
     with criterion(6, "1e5-point stream at eps=0.01 keeps <= 200 balls, sublinear growth"):
         ds = generate_synthetic(100_000, 10, 0.0, 0.0, seed=600)
         params = ModelParams(dim=10, epsilon=0.01, C=math.inf, lookahead=10)
-        model, buffer = Model(params), Lookahead(params.lookahead)
+        model = Model(params)
         count_at_10k = None
         peak = 0
         for i, ex in enumerate(ds.examples):
-            model.cover.offer(
-                buffer, feature_map(ex.x, ex.y, params, model.cover.points_seen)
-            )
+            model.feed([ex])
             peak = max(peak, len(model.cover.cores))
             if i + 1 == 10_000:
                 count_at_10k = len(model.cover.cores)
-        model.cover.flush(buffer)
+        model.finish()
         count_at_100k = len(model.cover.cores)
         assert peak <= 200, f"peak ball count {peak}"
         assert count_at_100k <= 2 * count_at_10k, (

@@ -104,3 +104,33 @@ def test_a_reloaded_model_resumes_training_exactly(
     save_model(model, path / "memory.bbsvm")
     save_model(loaded, path / "loaded.bbsvm")
     assert (path / "loaded.bbsvm").read_bytes() == (path / "memory.bbsvm").read_bytes()
+
+
+@pytest.mark.parametrize("C", [math.inf, 10.0])
+@pytest.mark.parametrize("lookahead", [0, 3, 10])
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(0, 300),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=12),
+)
+def test_feeding_any_chunking_then_finishing_is_one_pass(
+    tmp_path_factory, C, lookahead, seed, n, cuts
+):
+    # The buffer lives in the model, so the chunk ends (empty chunks too)
+    # change nothing: the cover and the saved file are one train_stream's.
+    noise = 0.0 if C == math.inf else 0.05
+    examples = generate_synthetic(n, 8, 0.05, noise, seed=seed).examples
+    params = ModelParams(dim=8, epsilon=0.01, C=C, lookahead=lookahead)
+    whole = Model(params).train_stream(examples)
+    chunked = Model(params)
+    ends = [0, *sorted(int(f * n) for f in cuts), n]
+    for start, stop in zip(ends, ends[1:]):
+        chunked.feed(examples[start:stop])
+    chunked.finish()
+    digest = bench_tests.worker.cover_digest
+    assert digest(chunked) == digest(whole)
+    path = tmp_path_factory.mktemp("chunks")
+    save_model(whole, path / "whole.bbsvm")
+    save_model(chunked, path / "chunked.bbsvm")
+    assert (path / "chunked.bbsvm").read_bytes() == (path / "whole.bbsvm").read_bytes()

@@ -300,7 +300,6 @@ def test_offer_buffers_below_capacity():
 def test_offer_lookahead_zero_processes_immediately():
     cover = BlurredBallCover(raw_params(0.1))
     buf = Lookahead(0)
-    assert buf.effective_capacity == 1
     assert cover.offer(buf, raw([2.0, 3.0], 0)) is True
     assert len(cover.cores) == 1
     assert cover.cores[0].ball.radius == 0.0
@@ -452,7 +451,7 @@ def test_invariants_hold_on_random_streams():
         buf = Lookahead([0, 3, 10][trial % 3])
         for i, vec in enumerate(rng.normal(size=(600, 4))):
             cover.offer(buf, raw(vec, i))
-            assert len(buf.pending) <= buf.effective_capacity
+            assert len(buf.pending) <= max(buf.capacity, 1)
         cover.flush(buf)
         assert cover.merge_count > 0
         assert cover.points_seen == 600

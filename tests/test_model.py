@@ -293,6 +293,84 @@ def test_train_stream_separable_reaches_full_training_accuracy():
     assert (preds == truth).mean() == 1.0
 
 
+# ------------------------------------------------------------ feed / finish
+
+
+@pytest.mark.parametrize("C", [math.inf, 10.0])
+def test_feeding_chunks_of_seven_keeps_the_one_pass_cover(C):
+    # When each call flushed its own buffer, this stream gave 4 balls in one
+    # pass but 6 in chunks of 7.
+    ds = generate_synthetic(500, 10, 0.1, 0.0, 3)
+    params = ModelParams(dim=10, epsilon=1e-2, C=C, lookahead=10)
+    whole = Model(params).train_stream(ds.examples)
+    chunked = Model(params)
+    for start in range(0, len(ds), 7):
+        chunked.feed(ds.examples[start : start + 7])
+    assert len(chunked.finish().cover.cores) == len(whole.cover.cores) == 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    size=st.integers(1, 12),
+    bad=st.integers(0, 59),
+    lookahead=st.sampled_from([0, 3, 10]),
+)
+def test_a_bad_row_in_any_chunk_names_its_stream_position(size, bad, lookahead):
+    stream = generate_synthetic(60, 3, 0.1, 0.0, seed=2).examples
+    stream[bad] = TrainingExample(SparseVector(np.array([1]), np.array([0.0])), 1)
+    model = Model(ModelParams(dim=3, lookahead=lookahead))
+    with pytest.raises(ValueError, match=f"^training example {bad}: "):
+        for start in range(0, len(stream), size):
+            model.feed(stream[start : start + size])
+    assert model.cover.points_seen == bad
+
+
+@settings(max_examples=20, deadline=None)
+@given(full=st.integers(0, 5), extra=st.integers(1, 9))
+def test_save_model_refuses_pending_points_until_finish(tmp_path_factory, full, extra):
+    examples = generate_synthetic(10 * full + extra, 4, 0.1, 0.0, seed=full).examples
+    params = ModelParams(dim=4, epsilon=0.01, lookahead=10)
+    model = Model(params).feed(examples)
+    path = tmp_path_factory.mktemp("pending")
+    with pytest.raises(ValueError, match=rf"^{extra} points are pending; call finish\(\) first$"):
+        save_model(model, path / "fed.bbsvm")
+    assert not (path / "fed.bbsvm").exists()
+    save_model(model.finish(), path / "fed.bbsvm")
+    save_model(Model(params).train_stream(examples), path / "whole.bbsvm")
+    assert (path / "fed.bbsvm").read_bytes() == (path / "whole.bbsvm").read_bytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    C=st.sampled_from([math.inf, 10.0]),
+    lookahead=st.sampled_from([0, 3, 10]),
+)
+def test_flipping_every_label_mirrors_the_trained_model(seed, C, lookahead):
+    # The feature map negates a point's explicit block exactly, so training
+    # takes the same steps on the mirrored stream: the same radii, members
+    # and slack coefficients, and negated centers.
+    noise = 0.0 if C == math.inf else 0.05
+    examples = generate_synthetic(300, 6, 0.05, noise, seed=seed).examples
+    params = ModelParams(dim=6, epsilon=0.01, C=C, lookahead=lookahead)
+    model = Model(params).train_stream(examples)
+    mirror = Model(params).train_stream([TrainingExample(ex.x, -ex.y) for ex in examples])
+    assert len(mirror.cover.cores) == len(model.cover.cores)
+    for cs, ms in zip(model.cover.cores, mirror.cover.cores):
+        assert ms.ball.radius == cs.ball.radius
+        assert [p.id for p in ms.members] == [p.id for p in cs.members]
+        assert list(ms.ball.center.slack_coeffs.items()) == list(
+            cs.ball.center.slack_coeffs.items()
+        )
+        # Equal floats are equal bits but for a zero's sign: a sum that cancels
+        # to zero is +0.0 on both sides.
+        assert np.array_equal(ms.ball.center.explicit, -cs.ball.center.explicit)
+    queries = [ex.x for ex in generate_synthetic(500, 6, 0.0, 0.0, seed=seed + 1).examples]
+    labels, mirrored = model.predict(queries), mirror.predict(queries)
+    kept = labels == mirrored  # only an exact tie of both sums, labelled +1 by each
+    assert (labels[kept] == 1).all()
+
+
 # ------------------------------------------------------------- support / score
 
 
@@ -668,6 +746,21 @@ def test_predict_checks_every_index_of_an_unsorted_query(index, message):
         model.predict([ok.x, x])
 
 
+def test_a_row_needs_one_value_per_index():
+    # Such rows once reached the maps: feature_map broadcast one value over a
+    # dense 1..3 row, predict failed in NumPy's reshape without naming a query,
+    # and a chunk whose totals matched shifted values from one row to the next.
+    dense = data._dense_index(3)
+    with pytest.raises(ValueError, match="^1 values for 3 indices$"):
+        feature_map(SparseVector(dense, np.array([5.0])), 1, ModelParams(dim=3), 0)
+    model = Model(ModelParams(dim=3)).train_stream([TrainingExample(sv(1.0, 2.0, 3.0), 1)])
+    with pytest.raises(ValueError, match="^1 values for 3 indices$"):
+        model.predict([SparseVector(dense, np.array([5.0]))])
+    index = np.arange(1, 4)
+    with pytest.raises(ValueError, match="^4 values for 3 indices$"):
+        model.predict([SparseVector(index, np.ones(4)), SparseVector(index, np.ones(2))])
+
+
 def test_classify_single_ball_sign_symmetry():
     ds = generate_synthetic(200, 4, 0.3, 0.0, seed=5)
     model = Model(ModelParams(dim=4, epsilon=0.01)).train_stream(ds.examples)
@@ -766,16 +859,17 @@ def test_support_disjoint_for_mirrored_queries():
 
 def test_the_public_api_is_exactly_these_names():
     # The package namespace grows only on purpose; the geometry types
-    # (AugPoint, Ball, Center, CoreSet) live in bbsvm.meb.
+    # (AugPoint, Ball, Center, CoreSet) live in bbsvm.meb, and the layers
+    # under Model in bbsvm.cover (BlurredBallCover) and bbsvm.model
+    # (feature_map).
     assert sorted(bbsvm.__all__) == sorted([
-        "BlurredBallCover", "CSV_HEADER", "DataFormatError", "Dataset",
-        "ExperimentReport", "Model", "ModelFormatError", "ModelParams", "RunResult",
-        "SparseVector", "TrainingExample", "approx_meb", "epsilon_sweep",
-        "feature_map", "format_libsvm", "generate_synthetic", "load_libsvm",
-        "load_model", "parse_libsvm", "run_experiment", "save_model", "shuffled",
-        "write_csv",
+        "CSV_HEADER", "DataFormatError", "Dataset", "ExperimentReport", "Model",
+        "ModelFormatError", "ModelParams", "RunResult", "SparseVector",
+        "TrainingExample", "approx_meb", "epsilon_sweep", "format_libsvm",
+        "generate_synthetic", "load_libsvm", "load_model", "parse_libsvm",
+        "run_experiment", "save_model", "shuffled", "write_csv",
     ])
-    assert len(bbsvm.__all__) == len(set(bbsvm.__all__)) == 23
+    assert len(bbsvm.__all__) == len(set(bbsvm.__all__)) == 21
     for name in bbsvm.__all__:
         assert getattr(bbsvm, name) is not None, name
 
