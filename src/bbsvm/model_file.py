@@ -56,8 +56,8 @@ def _f(value: float) -> str:
 
 
 def save_model(model: Model, path) -> None:
-    if model.buffer.pending:
-        raise ValueError(f"{len(model.buffer.pending)} points are pending; call finish() first")
+    if pending := len(model.buffer.pending):
+        raise ValueError(f"{pending} points are pending; call finish() first")
     params = model.params
     lines = [
         f"{MAGIC} {VERSION}",

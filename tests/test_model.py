@@ -332,7 +332,8 @@ def test_save_model_refuses_pending_points_until_finish(tmp_path_factory, full, 
     params = ModelParams(dim=4, epsilon=0.01, lookahead=10)
     model = Model(params).feed(examples)
     path = tmp_path_factory.mktemp("pending")
-    with pytest.raises(ValueError, match=rf"^{extra} points are pending; call finish\(\) first$"):
+    message = rf"^{extra} points are pending; call finish\(\) first$"
+    with pytest.raises(ValueError, match=message):
         save_model(model, path / "fed.bbsvm")
     assert not (path / "fed.bbsvm").exists()
     save_model(model.finish(), path / "fed.bbsvm")
