@@ -4,8 +4,9 @@
 Points are buffered L at a time; a buffered point that lands outside every
 (1+eps)-expanded ball triggers a merge, and merges can discard older balls
 whose radius fell below eps/4 of the newest one.  Storage stays small no
-matter how long the stream runs.  The cover takes eps, delta and the slack
-weight from ``ModelParams``; these raw 2-D points have no slack axes (C = inf).
+matter how long the stream runs.  The cover reads eps, delta, L and the slack
+weight from its ``ModelParams``; these raw 2-D points have no slack axes
+(C = inf).
 """
 
 import numpy as np
@@ -15,10 +16,11 @@ from bbsvm.meb import AugPoint
 from bbsvm.model import ModelParams
 
 rng = np.random.default_rng(7)
-cover = BlurredBallCover(ModelParams(dim=2, epsilon=0.05))
-buffer = Lookahead(capacity=10)
+cover = BlurredBallCover(ModelParams(dim=2, epsilon=0.05, lookahead=10))
+buffer = Lookahead()
 
-print(f"eps = {cover.epsilon}, delta = {cover.delta}, L = {buffer.capacity}\n")
+params = cover.params
+print(f"eps = {params.epsilon}, delta = {params.delta}, L = {params.lookahead}\n")
 print(f"{'points':>8} {'balls':>6} {'radii'}")
 
 merges = 0

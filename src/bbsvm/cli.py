@@ -173,16 +173,14 @@ def _cmd_sweep(args) -> int:
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
+    except _UsageError as err:  # from argparse, or a bad sweep list
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return 0 if not exc.code else int(exc.code)
-    try:
-        return args.func(args)
     except (DataFormatError, ModelFormatError, OSError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

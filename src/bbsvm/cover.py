@@ -45,24 +45,21 @@ _row_sum = np.add.reduce  # the pairwise sum of ``ndarray.sum``, without its wra
 
 @dataclass(eq=False)
 class Lookahead:
-    """Pending-point buffer; capacity L = 0 means per-point processing."""
+    """Pending-point buffer, processed when it holds ``params.lookahead``
+    points of its cover's ``params`` (L = 0 means per-point processing)."""
 
-    capacity: int
     pending: list[AugPoint] = field(default_factory=list)
 
 
 class BlurredBallCover:
     """Retained (core set, ball) pairs plus the update rules that maintain them,
-    with the epsilon, delta and slack weight of ``params``, which checked them."""
+    with the epsilon, delta, slack weight and lookahead L of ``params``."""
 
     def __init__(self, params: ModelParams):
-        self.epsilon = params.epsilon
-        self.delta = params.delta
-        self.slack_weight = params.slack_weight
-        self._slack2 = self.slack_weight * self.slack_weight
-        self.cores: list[CoreSet] = []
+        self.params = params
+        self._slack2 = params.slack_weight * params.slack_weight  # every escape test's
+        self.cores = []
         self.points_seen = 0
-        self._refresh_cache()
 
     def escapes(self, p: AugPoint) -> bool:
         """True iff ``p`` lies outside every (1+eps)-expanded retained ball.
@@ -88,7 +85,7 @@ class BlurredBallCover:
         return bool((d2 > self._limits2).all())
 
     def offer(self, buffer: Lookahead, p: AugPoint) -> bool:
-        """Buffer ``p``; process the buffer when it reaches capacity.
+        """Buffer ``p``; process the buffer when it holds L = ``params.lookahead``.
 
         Returns whether a merge update was performed.  Whenever the buffer
         is processed it is cleared afterward, merge or not.  ``p.id`` must
@@ -99,7 +96,7 @@ class BlurredBallCover:
         pending = buffer.pending
         pending.append(p)
         self.points_seen += 1
-        if len(pending) < buffer.capacity:  # at L = 0 too: p is already in
+        if len(pending) < self.params.lookahead:  # at L = 0 too: p is already in
             return False
         return self._process(buffer)
 
@@ -125,7 +122,7 @@ class BlurredBallCover:
             outside = (d2 > self._newest_limit2).nonzero()[0]
             merged = any(self.escapes(pending[i]) for i in outside)
         if merged:
-            self.merge_update(list(pending))
+            self.merge_update(pending)  # returns before the clear
         pending.clear()
         return merged
 
@@ -133,33 +130,41 @@ class BlurredBallCover:
         """Fold a buffer into the cover (call only when some point escapes).
 
         Computes the approximate MEB of the buffer plus all retained core
-        points, started warm from the newest ball's core, appends the
-        resulting pair, then discards every older pair whose ball radius
-        falls below eps/4 of the new radius.
+        points, started warm from the newest ball's core, then keeps every
+        older pair whose ball radius is at least eps/4 of the new radius,
+        and the new pair last.
         """
+        params = self.params
         by_id: dict[int, AugPoint] = {}  # one point an id: buffer, then cores in order
         for members in [escaped_buffer, *(cs.members for cs in self.cores)]:
             for p in members:
                 by_id.setdefault(p.id, p)
         warm = self.cores[-1].members if self.cores else None
-        ball, core = approx_meb(list(by_id.values()), self.delta, self.slack_weight, warm)
-        self.cores.append(core)
-        cut = (self.epsilon / 4.0) * ball.radius
-        self.cores = [cs for cs in self.cores if cs.ball.radius >= cut or cs is core]
-        self._refresh_cache()
+        points = list(by_id.values())
+        ball, core = approx_meb(points, params.delta, params.slack_weight, warm)
+        cut = (params.epsilon / 4.0) * ball.radius
+        self.cores = [cs for cs in self.cores if cs.ball.radius >= cut] + [core]
 
-    # -- cached query arrays ------------------------------------------------
+    # -- the balls and their query arrays ------------------------------------
 
-    def _refresh_cache(self) -> None:
-        if not self.cores:
+    @property
+    def cores(self) -> list[CoreSet]:
+        """The retained (core set, ball) pairs, oldest first.  Assign a new
+        list to change them: that rebuilds the escape and predict arrays."""
+        return self._cores
+
+    @cores.setter
+    def cores(self, cores: list[CoreSet]) -> None:
+        self._cores = cores
+        if not cores:
             self._centers = self._newest = self._center_slack2 = None
             self._radii = self._limits2 = None
             return
-        self._centers = np.stack([cs.ball.center.explicit for cs in self.cores])
+        self._centers = np.stack([cs.ball.center.explicit for cs in cores])
         self._newest = self._centers[-1]
-        self._center_slack2 = np.array([cs.ball.center.slack_norm2 for cs in self.cores])
-        self._radii = np.array([cs.ball.radius for cs in self.cores])
-        limits = (1.0 + self.epsilon) * self._radii
+        self._center_slack2 = np.array([cs.ball.center.slack_norm2 for cs in cores])
+        self._radii = np.array([cs.ball.radius for cs in cores])
+        limits = (1.0 + self.params.epsilon) * self._radii
         self._limits2 = limits * limits
         self._newest_slack2 = float(self._center_slack2[-1])
         self._newest_limit2 = float(self._limits2[-1])

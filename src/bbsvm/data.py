@@ -46,12 +46,15 @@ class DataFormatError(ValueError):
 
 @dataclass(eq=False, slots=True)
 class SparseVector:
-    """Sparse real vector with 1-based, strictly increasing indices, one value each."""
+    """Sparse real vector with 1-based, strictly increasing indices, one value
+    each; lists and other sequences are taken as NumPy arrays."""
 
     indices: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
+        # An array is kept as it is: a dense row's index is known by identity.
+        self.indices, self.values = np.asarray(self.indices), np.asarray(self.values)
         if len(self.indices) != len(self.values):
             raise ValueError(f"{len(self.values)} values for {len(self.indices)} indices")
 

@@ -36,52 +36,37 @@ class RunResult:
     core_point_total: int
 
 
+def _over_runs(field: str, reduce=np.mean) -> property:
+    """A report's ``reduce`` of its runs' ``field``, as a Python float."""
+    return property(lambda self: float(reduce([getattr(r, field) for r in self.per_run])))
+
+
 @dataclass(eq=False)
 class ExperimentReport:
-    """The runs of one ``ModelParams`` setting, their aggregates and CSV row.
+    """The runs of one ``ModelParams`` setting, sorted by seed, and the means
+    and CSV row read from them: no aggregate depends on completion order.
 
     ``as_csv`` takes epsilon and L from ``params``, runs from ``per_run``.
     """
 
     params: ModelParams
     per_run: list[RunResult]
-    mean_accuracy: float
-    accuracy_std: float
-    mean_time: float
-    mean_balls: float
-    mean_core_points: float
 
-    @classmethod
-    def from_runs(
-        cls, params: ModelParams, runs: Sequence[RunResult]
-    ) -> "ExperimentReport":
-        # Sort by seed so aggregation is independent of completion order.
-        ordered = sorted(runs, key=lambda r: r.seed)
-        acc = np.array([r.accuracy for r in ordered])
-        return cls(
-            params=params,
-            per_run=list(ordered),
-            mean_accuracy=float(acc.mean()),
-            accuracy_std=float(acc.std()),
-            mean_time=float(np.mean([r.train_seconds for r in ordered])),
-            mean_balls=float(np.mean([r.ball_count for r in ordered])),
-            mean_core_points=float(np.mean([r.core_point_total for r in ordered])),
-        )
+    def __post_init__(self):
+        self.per_run = sorted(self.per_run, key=lambda r: r.seed)
+
+    mean_accuracy = _over_runs("accuracy")
+    accuracy_std = _over_runs("accuracy", np.std)
+    mean_time = _over_runs("train_seconds")
+    mean_balls = _over_runs("ball_count")
+    mean_core_points = _over_runs("core_point_total")
 
     def as_csv(self) -> str:
         """One line in ``CSV_HEADER`` order; floats in round-trip ``repr``."""
-        return ",".join(
-            [
-                repr(float(self.params.epsilon)),
-                str(self.params.lookahead),
-                str(len(self.per_run)),
-                repr(float(self.mean_accuracy)),
-                repr(float(self.accuracy_std)),
-                repr(float(self.mean_time)),
-                repr(float(self.mean_balls)),
-                repr(float(self.mean_core_points)),
-            ]
-        )
+        means = [self.mean_accuracy, self.accuracy_std, self.mean_time,
+                 self.mean_balls, self.mean_core_points]
+        return ",".join([repr(float(self.params.epsilon)), str(self.params.lookahead),
+                         str(len(self.per_run)), *map(repr, means)])
 
 
 def run_experiment(
@@ -166,7 +151,7 @@ def _interleaved_runs(
                 )
             )
     return [
-        ExperimentReport.from_runs(params, per_run)
+        ExperimentReport(params, per_run)
         for params, per_run in zip(settings, results)
     ]
 

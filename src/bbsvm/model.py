@@ -34,7 +34,7 @@ MARGIN2_RTOL = 1e-9  # margin^2 / kappa^2 at or below which a ball separates not
 _vdot = np.vdot.__wrapped__  # v.dot's bits, no overflow warning, no dispatch cost
 
 
-@dataclass(frozen=True)  # the cover copies epsilon, delta and the slack weight
+@dataclass(frozen=True)  # the cover reads epsilon, delta, C and L from here
 class ModelParams:
     """Training configuration; ``delta`` defaults to ``epsilon / 2``."""
 
@@ -179,7 +179,7 @@ class Model:
 
     def __post_init__(self):
         self.cover = BlurredBallCover(self.params)
-        self.buffer = Lookahead(self.params.lookahead)
+        self.buffer = Lookahead()
 
     def feed(self, examples: Iterable[TrainingExample]) -> "Model":
         """Map each example with its stream position as id and offer it to the

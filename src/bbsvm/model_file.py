@@ -229,5 +229,4 @@ def load_model(path) -> Model:
     model = Model(params)
     model.cover.cores = cores
     model.cover.points_seen = points_seen
-    model.cover._refresh_cache()
     return model

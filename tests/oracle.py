@@ -160,7 +160,7 @@ def escape_distances(
     is dropped, which is exact for ids that no core member carries.
     """
     centers, center_slack2, radii = cover.query_arrays()
-    limits = (1.0 + cover.epsilon) * radii
+    limits = (1.0 + cover.params.epsilon) * radii
     P = np.stack([p.explicit for p in pts])
     sw = np.array([p.slack_weight for p in pts])
     d2 = ((P[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -182,7 +182,7 @@ class PerPointCover(BlurredBallCover):
     def _process(self, buffer: Lookahead) -> bool:
         merged = any(map(self.escapes, buffer.pending))
         if merged:
-            self.merge_update(list(buffer.pending))
+            self.merge_update(buffer.pending)
         buffer.pending.clear()
         return merged
 

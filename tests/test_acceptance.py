@@ -86,18 +86,17 @@ def test_criterion_1_meb_oracle_equivalence():
 class _CheckingCover(BlurredBallCover):
     def __init__(self, params):
         super().__init__(params)
-        self.params = params
         self.merge_count = 0
 
     def merge_update(self, buf):
         super().merge_update(buf)
         self.merge_count += 1
-        cut = (self.epsilon / 4.0) * self.cores[-1].ball.radius
+        cut = (self.params.epsilon / 4.0) * self.cores[-1].ball.radius
         assert min(cs.ball.radius for cs in self.cores) >= cut
         for p in buf:
             p = weighted(p, self.params)
             assert any(
-                expansion_contains(cs.ball, p, self.epsilon) for cs in self.cores
+                expansion_contains(cs.ball, p, self.params.epsilon) for cs in self.cores
             )
 
 

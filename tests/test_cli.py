@@ -103,6 +103,18 @@ def test_usage_errors_exit_1():
     assert run_cli(["bogus-command"]) == 1
 
 
+def test_a_bad_sweep_list_exits_1(dataset_file, capsys):
+    data = str(dataset_file)
+    assert run_cli(["sweep", "--train", data, "--test", data, "--epsilons", "0.1,abc"]) == 1
+    assert "usage error: bad epsilon list: '0.1,abc'" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert run_cli(["--help"]) == 0
+    assert run_cli(["sweep", "--help"]) == 0
+    assert "--epsilons" in capsys.readouterr().out
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -285,7 +297,7 @@ def test_model_file_keeps_training_state(tmp_path):
     model = Model(params).train_stream(ds.examples)
     save_model(model, tmp_path / "m.bbsvm")
     loaded = load_model(tmp_path / "m.bbsvm")
-    assert loaded.params.delta == delta and loaded.cover.delta == delta
+    assert loaded.params.delta == delta and loaded.cover.params is loaded.params
     assert loaded.params.lookahead == 3
     assert loaded.cover.points_seen == 500
     assert loaded.params == model.params
@@ -530,6 +542,18 @@ def test_model_file_detects_truncation(tmp_path, model_file):
     message = f"^line {core}: member 999999 was not written earlier$"
     with pytest.raises(ModelFormatError, match=message):
         load_model(truncated)
+
+
+def test_model_file_names_a_misplaced_record_and_checks_kappa(tmp_path, model_file):
+    lines = model_file.read_text().splitlines()
+    assert lines[2].startswith("epsilon ")
+    bad = tmp_path / "bad.bbsvm"
+    bad.write_text("\n".join([*lines[:2], "epsilonn 0.001", *lines[3:]]) + "\n")
+    with pytest.raises(ModelFormatError, match="^line 3: expected 'epsilon' record$"):
+        load_model(bad)
+    bad.write_text("\n".join(["BBSVM 3", "kappa 1.5", *lines[2:]]) + "\n")  # C = inf
+    with pytest.raises(ModelFormatError, match="^kappa is inconsistent with C$"):
+        load_model(bad)
 
 
 def test_model_file_rejects_records_after_the_last_ball(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,10 +28,10 @@ def raw(vec, pid):
     return WeightedPoint(np.asarray(vec, dtype=float), 0.0, pid)
 
 
-def raw_params(epsilon):
+def raw_params(epsilon, lookahead=10):
     """Parameters of a cover of raw points: no slack axes (C = inf); the
     cover reads no dimension."""
-    return ModelParams(dim=1, epsilon=epsilon)
+    return ModelParams(dim=1, epsilon=epsilon, lookahead=lookahead)
 
 
 def ring(center, radius, count, start_id):
@@ -53,11 +54,12 @@ class CheckingCover(BlurredBallCover):
         super().merge_update(buf)
         self.merge_count += 1
         newest = self.cores[-1].ball
-        cut = (self.epsilon / 4.0) * newest.radius
+        eps = self.params.epsilon
+        cut = (eps / 4.0) * newest.radius
         assert all(cs.ball.radius >= cut for cs in self.cores)
         for p in buf:
             assert any(
-                expansion_contains(cs.ball, p, self.epsilon) for cs in self.cores
+                expansion_contains(cs.ball, p, eps) for cs in self.cores
             )
 
 
@@ -80,7 +82,6 @@ def test_escapes_boundary_counts_as_inside():
     cover = BlurredBallCover(raw_params(0.5))
     ball = Ball(Center(np.array([0.0, 0.0])), 1.0)
     cover.cores = [CoreSet([raw([0.0, 0.0], 0)], ball)]
-    cover._refresh_cache()
     # distance exactly (1 + eps) * r = 1.5
     assert not cover.escapes(raw([1.5, 0.0], 1))
     assert cover.escapes(raw([1.5000001, 0.0], 2))
@@ -151,7 +152,7 @@ def _on_older_boundaries(cover, slack_weight, first_id, tries=100):
     its (1+eps)-expanded radius squared exactly, outside the newest ball."""
     rng = np.random.default_rng(5)
     centers, center_slack2, radii = cover.query_arrays()
-    limits2 = ((1.0 + cover.epsilon) * radii) ** 2
+    limits2 = ((1.0 + cover.params.epsilon) * radii) ** 2
     found = []
     for _ in range(tries):
         i = int(rng.integers(len(radii) - 1))
@@ -227,7 +228,7 @@ def _on_newest_boundary(cover, slack_weight, first_id, tries=600):
     it on the same rays that escape every ball."""
     rng = np.random.default_rng(7)
     centers, center_slack2, radii = cover.query_arrays()
-    limits2 = ((1.0 + cover.epsilon) * radii) ** 2
+    limits2 = ((1.0 + cover.params.epsilon) * radii) ** 2
     on, past = [], []
 
     def at(t, u):
@@ -261,21 +262,23 @@ def test_a_buffer_merges_iff_a_point_past_the_newest_boundary_escapes(C):
     # the newest ball, at every position of the buffer.  A block whose row
     # sums lose the bits of ``escapes`` misplaces some of them.
     model, fresh = _trained(C, 10)
-    cover = model.cover
-    first = cover.points_seen
+    first = model.cover.points_seen
     inside = [weighted(feature_map(ex.x, ex.y, model.params, first + k), model.params)
               for k, ex in enumerate(fresh)]
-    d2, limits2 = escape_distances(cover, inside)
+    d2, limits2 = escape_distances(model.cover, inside)
     inside = [p for p, row in zip(inside, d2) if row[-1] <= limits2[-1]]
-    on, past = _on_newest_boundary(cover, model.params.slack_weight, first + len(fresh))
+    on, past = _on_newest_boundary(model.cover, model.params.slack_weight,
+                                   first + len(fresh))
     assert len(on) >= 200 and len(past) >= 30 and len(inside) >= 10
-    assert not escape_mask(cover, on).any()
+    assert not escape_mask(model.cover, on).any()
     merges = []
-    cover.merge_update = merges.append  # record the decision; keep the cover
     for capacity in (2, 3, 10):
+        cover = BlurredBallCover(replace(model.params, lookahead=capacity))
+        cover.cores = model.cover.cores
+        cover.merge_update = merges.append  # record the decision; keep the cover
         for expected, pts in [(False, on), (True, past)]:
             for k, p in enumerate(pts):
-                buffer = Lookahead(capacity)
+                buffer = Lookahead()
                 others = inside[k % (len(inside) - capacity + 2) :][: capacity - 1]
                 slot = k % capacity
                 for q in [*others[:slot], p, *others[slot:]]:
@@ -288,8 +291,8 @@ def test_a_buffer_merges_iff_a_point_past_the_newest_boundary_escapes(C):
 
 
 def test_offer_buffers_below_capacity():
-    cover = BlurredBallCover(raw_params(0.1))
-    buf = Lookahead(10)
+    cover = BlurredBallCover(raw_params(0.1, lookahead=10))
+    buf = Lookahead()
     for i in range(9):
         assert cover.offer(buf, raw([float(i), 0.0], i)) is False
     assert len(buf.pending) == 9
@@ -298,8 +301,8 @@ def test_offer_buffers_below_capacity():
 
 
 def test_offer_lookahead_zero_processes_immediately():
-    cover = BlurredBallCover(raw_params(0.1))
-    buf = Lookahead(0)
+    cover = BlurredBallCover(raw_params(0.1, lookahead=0))
+    buf = Lookahead()
     assert cover.offer(buf, raw([2.0, 3.0], 0)) is True
     assert len(cover.cores) == 1
     assert cover.cores[0].ball.radius == 0.0
@@ -308,10 +311,10 @@ def test_offer_lookahead_zero_processes_immediately():
 
 
 def test_offer_all_inside_clears_without_merge():
-    cover = BlurredBallCover(raw_params(0.1))
+    cover = BlurredBallCover(raw_params(0.1, lookahead=3))
     cover.merge_update(ring((0.0, 0.0), 1.0, 8, 0))
     balls_before = balls(cover)
-    buf = Lookahead(3)
+    buf = Lookahead()
     merged = [cover.offer(buf, raw([0.01 * i, 0.0], 100 + i)) for i in range(3)]
     assert merged == [False, False, False]
     assert buf.pending == []
@@ -319,8 +322,8 @@ def test_offer_all_inside_clears_without_merge():
 
 
 def test_offer_capacity_reached_with_escape_merges():
-    cover = BlurredBallCover(raw_params(0.1))
-    buf = Lookahead(2)
+    cover = BlurredBallCover(raw_params(0.1, lookahead=2))
+    buf = Lookahead()
     assert cover.offer(buf, raw([0.0, 0.0], 0)) is False
     assert cover.offer(buf, raw([1.0, 0.0], 1)) is True
     assert len(cover.cores) == 1
@@ -360,7 +363,7 @@ def test_merge_retains_old_ball_above_cut():
     cover.merge_update(ring((7.0, 0.0), 0.5, 10, 100))
     assert len(cover.cores) == 2
     r_new = cover.cores[-1].ball.radius
-    assert r_old >= (cover.epsilon / 4.0) * r_new
+    assert r_old >= (cover.params.epsilon / 4.0) * r_new
     assert r_new <= 4.2
 
 
@@ -396,7 +399,6 @@ def test_all_core_points_empty_and_simple(monkeypatch):
     pts = [raw([0.0, 0.0], 0), raw([1.0, 0.0], 1), raw([0.0, 1.0], 2)]
     ball, core = approx_meb(pts, 0.05)
     cover.cores = [core]
-    cover._refresh_cache()
     assert set(core_point_ids(cover)) == {p.id for p in core.members}
     cover.merge_update([raw([5.0, 1.0], 21)])
     assert calls[1] == [21, *(p.id for p in core.members)]
@@ -411,7 +413,6 @@ def test_all_core_points_dedups_shared_members(monkeypatch):
         CoreSet([shared], ball1),
         CoreSet([shared, raw([1.0, 0.0], 8)], ball2),
     ]
-    cover._refresh_cache()
     assert core_point_ids(cover) == [7, 8]
     calls = _record_merge_inputs(monkeypatch)
     cover.merge_update([raw([5.0, 0.0], 20)])
@@ -427,7 +428,6 @@ def test_a_merge_passes_the_buffer_then_each_core_point_once(monkeypatch):
     newest = [shared, raw([1.0, 0.0], 8)]
     cover.cores = [CoreSet(first, approx_meb(first, 0.05)[0]),
                    CoreSet(newest, approx_meb(newest, 0.05)[0])]
-    cover._refresh_cache()
     assert core_point_ids(cover) == [9, 7, 8]
     calls = []
 
@@ -447,14 +447,42 @@ def test_invariants_hold_on_random_streams():
     rng = np.random.default_rng(13)
     for trial in range(5):
         eps = [0.3, 0.15, 0.08][trial % 3]
-        cover = CheckingCover(raw_params(eps))
-        buf = Lookahead([0, 3, 10][trial % 3])
+        cover = CheckingCover(raw_params(eps, lookahead=[0, 3, 10][trial % 3]))
+        buf = Lookahead()
         for i, vec in enumerate(rng.normal(size=(600, 4))):
             cover.offer(buf, raw(vec, i))
-            assert len(buf.pending) <= max(buf.capacity, 1)
+            assert len(buf.pending) <= max(cover.params.lookahead, 1)
         cover.flush(buf)
         assert cover.merge_count > 0
         assert cover.points_seen == 600
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(50, 400),
+    dim=st.integers(2, 6),
+    C=st.sampled_from([math.inf, 10.0]),
+    lookahead=st.sampled_from([0, 10]),
+    eps=st.sampled_from([0.1, 0.03, 0.01]),
+    noise=st.sampled_from([0.0, 0.05]),
+)
+def test_the_cover_holds_the_whole_stream(seed, n, dim, C, lookahead, eps, noise):
+    # Every point seen lies in a retained (1+eps)-expanded ball, its shared
+    # slack axis counted when it is a core member, and no retained radius is
+    # above 1.22 (1+delta) times the radius of the whole stream's approximate
+    # MEB: Chan and Pathak's bound for the blurred ball cover.
+    ds = generate_synthetic(n, dim, 0.0, noise, seed=seed)
+    params = ModelParams(dim=dim, epsilon=eps, C=C, lookahead=lookahead)
+    cores = Model(params).train_stream(ds.examples).cover.cores
+    stream = [weighted(feature_map(ex.x, ex.y, params, k), params)
+              for k, ex in enumerate(ds.examples)]
+    for p in stream:
+        assert any(distance2(cs.ball.center, p) <= ((1.0 + eps) * cs.ball.radius) ** 2
+                   for cs in cores)
+    whole, _ = approx_meb(stream, params.delta, params.slack_weight)
+    largest = max(cs.ball.radius for cs in cores)
+    assert largest <= 1.22 * (1.0 + params.delta) * whole.radius
 
 
 def test_cover_determinism_bit_for_bit():
@@ -462,8 +490,8 @@ def test_cover_determinism_bit_for_bit():
     stream = [raw(v, i) for i, v in enumerate(rng.normal(size=(500, 3)))]
 
     def build():
-        cover = BlurredBallCover(raw_params(0.1))
-        buf = Lookahead(5)
+        cover = BlurredBallCover(raw_params(0.1, lookahead=5))
+        buf = Lookahead()
         for p in stream:
             cover.offer(buf, p)
         cover.flush(buf)

@@ -54,6 +54,9 @@ def test_parse_errors_carry_line_numbers():
         parse_libsvm("+1 0:1\n")  # indices are 1-based
     with pytest.raises(DataFormatError, match="line 3"):
         parse_libsvm("+1 1:1\n-1 1:1\n+1 1:x\n")
+    # "1e" passes the block parser's character checks, and np.fromstring refuses it.
+    with pytest.raises(DataFormatError, match="^line 1: malformed feature '1:1e'$"):
+        parse_libsvm("+1 1:1e\n")
     with pytest.raises(DataFormatError, match="no features"):
         parse_libsvm("+1\n")
     with pytest.raises(DataFormatError, match="unknown label"):
@@ -328,6 +331,10 @@ def test_generate_validation():
         generate_synthetic(10, 5, 1.0, 0.0, 0)
     with pytest.raises(ValueError):
         generate_synthetic(10, 5, 0.2, 1.5, 0)
+    # No unit vector in 50 dimensions comes that close to the normal.
+    message = "^margin 0.999 rejects essentially every sample in dimension 50$"
+    with pytest.raises(ValueError, match=message):
+        generate_synthetic(1, 50, 0.999, 0.0, 0)
 
 
 # -------------------------------------------------------------------- shuffled

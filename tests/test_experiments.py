@@ -52,7 +52,7 @@ def test_report_aggregation_identity():
         ]
     ]
     params = ModelParams(dim=2)
-    report = ExperimentReport.from_runs(params, runs)
+    report = ExperimentReport(params, runs)
     assert report.params is params
     assert [r.seed for r in report.per_run] == [0, 1, 2]
     assert report.mean_accuracy == 0.75
@@ -79,6 +79,16 @@ def test_run_experiment_validation():
         run_experiment(Dataset([], 3), test, params, 1)
     with pytest.raises(ValueError, match="runs"):
         run_experiment(train, test, params, 0)
+
+
+def test_a_bad_training_row_names_its_run_and_seed():
+    train, test = split(50, 10, 3, 0.0, seed=0)
+    zero = TrainingExample(SparseVector(np.array([2]), np.array([0.0])), 1)
+    train = Dataset([*train.examples, zero], 3)
+    position = shuffled(train, 7).index(zero)
+    message = rf"^run 0 \(seed 7\): training example {position}: input vector needs"
+    with pytest.raises(ValueError, match=message):
+        run_experiment(train, test, ModelParams(dim=3), runs=2, base_seed=7)
 
 
 def test_single_pass_contract():

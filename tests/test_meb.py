@@ -1,6 +1,9 @@
 import dataclasses
+import inspect
+import linecache
 import math
 import signal
+import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -403,6 +406,41 @@ def test_approx_meb_returns_at_delta_1e7_on_three_points():
     with time_limit(5):
         ball, _ = approx_meb(pts, 1e-7)
     assert ball.radius <= (1.0 + 1e-7) * 1.3487416452769216
+
+
+def _lines_run(func, *args):
+    """``func(*args)`` and the line numbers its own frame ran."""
+    code, lines = func.__code__, set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        return func(*args), lines
+    finally:
+        sys.settrace(None)
+
+
+def test_approx_meb_stops_when_a_rebuilt_inverse_is_stuck_again():
+    # A square's corners, one of them twice, warm from all five at delta =
+    # 1e-7: the ridge barely separates the twins, the rebuilt inverse is
+    # stuck again and the loop stops there.  The radius is still the exact
+    # farthest distance, so every input is inside.
+    rows = [[-1.0, -1.0], [-1.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [1.0, -1.0]]
+    pts = [raw(r, i) for i, r in enumerate(rows)]
+    warm = [pts[k] for k in (2, 0, 3, 1, 4)]
+    with time_limit(5):
+        (ball, core), lines = _lines_run(approx_meb, pts, 1e-7, 0.0, warm)
+    source, first = inspect.getsourcelines(approx_meb)
+    stop = first + next(k for k, line in enumerate(source) if "if rebuilt:" in line) + 1
+    assert "break" in linecache.getline(approx_meb.__code__.co_filename, stop)
+    assert stop in lines
+    for p in pts:
+        assert distance2(ball.center, p) <= ball.radius**2
+    assert len(core.members) >= 2
 
 
 def test_approx_meb_at_delta_1e7_matches_the_oracle():

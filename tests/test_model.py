@@ -379,7 +379,6 @@ def one_ball_cover(center_vec, radius, coeffs=None):
     cover = BlurredBallCover(ModelParams(dim=1, epsilon=0.1))
     ball = Ball(Center(np.asarray(center_vec, dtype=float), coeffs or {}), radius)
     cover.cores = [CoreSet([], ball)]
-    cover._refresh_cache()
     return cover
 
 
@@ -411,7 +410,6 @@ def test_score_sums_over_supporting_balls():
     b1 = Ball(Center(np.array([0.0, 2.0])), 1.5)
     b2 = Ball(Center(np.array([1.0, 1.0])), 2.0)
     cover.cores = [CoreSet([], b1), CoreSet([], b2)]
-    cover._refresh_cache()
     p = raw([0.0, 1.0], 0)
     expected = 1.0 + (p.explicit @ b2.center.explicit) / np.linalg.norm(
         b2.center.explicit
@@ -435,14 +433,14 @@ def test_slack_weight_follows_C_through_replace():
     # derived state, not a field: equality and repr are the fields' alone
     assert params == ModelParams(dim=2, C=10.0)
     assert "slack_weight" not in repr(params)
-    # The cover copies it; its points carry none.
-    assert Model(params).cover.slack_weight == params.slack_weight
-    assert Model(replace(params, C=4.0)).cover.slack_weight == 0.5
+    # The cover reads it from its params; its points carry none.
+    assert Model(params).cover.params is params
 
 
 def test_params_are_frozen():
-    # The cover copies epsilon, delta and the slack weight, so a field set
-    # on a live model would save a file that contradicts itself.
+    # The cover caches the squared slack weight and the expanded radii, so a
+    # field set on a live model would leave them stale and save a file that
+    # contradicts itself.
     model = Model(ModelParams(dim=2, C=10.0))
     for name in ("dim", "epsilon", "C", "lookahead", "delta", "slack_weight"):
         with pytest.raises(FrozenInstanceError):
@@ -490,6 +488,25 @@ def test_a_contradicting_pair_leaves_a_degenerate_ball(pair, C, radius):
         assert [cs.ball.radius for cs in model.cover.cores] == [radius]
     healthy = Model(ModelParams(dim=2, epsilon=0.01, C=C, lookahead=0))
     assert healthy.train_stream(stream[2:]).degenerate_balls() == []
+
+
+def test_assigning_cores_alone_moves_escapes_and_predict():
+    # ``cover.cores = ...`` is the one way to change the balls: the escape
+    # test and predict read the new balls with no other call.
+    ds = generate_synthetic(600, 4, 0.1, 0.0, seed=9)
+    params = ModelParams(dim=4, epsilon=0.05)
+    model = Model(params).train_stream(ds.examples[:200])
+    flipped = [TrainingExample(ex.x, -ex.y) for ex in ds.examples[200:400]]
+    other = Model(params).train_stream(flipped)
+    queries = [ex.x for ex in ds.examples[400:]]
+    fresh = [feature_map(ex.x, ex.y, params, 400 + k)
+             for k, ex in enumerate(ds.examples[400:])]
+    want = [other.cover.escapes(p) for p in fresh]
+    assert [model.cover.escapes(p) for p in fresh] != want
+    assert not np.array_equal(model.predict(queries), other.predict(queries))
+    model.cover.cores = other.cover.cores
+    assert [model.cover.escapes(p) for p in fresh] == want
+    assert np.array_equal(model.predict(queries), other.predict(queries))
 
 
 def test_a_ball_of_almost_no_margin_is_degenerate():
@@ -760,6 +777,26 @@ def test_a_row_needs_one_value_per_index():
     index = np.arange(1, 4)
     with pytest.raises(ValueError, match="^4 values for 3 indices$"):
         model.predict([SparseVector(index, np.ones(4)), SparseVector(index, np.ones(2))])
+
+
+def test_rows_built_from_lists_train_and_predict_as_arrays():
+    # Lists once reached the maps and failed there on ``.size``, naming no
+    # example or query; they are taken as arrays, and an array is kept.
+    ds = generate_synthetic(300, 3, 0.1, 0.0, seed=6)
+    listed = [TrainingExample(SparseVector(list(ex.x.indices), list(ex.x.values)), ex.y)
+              for ex in ds.examples]
+    assert type(listed[0].x.indices) is np.ndarray
+    dense = data._dense_index(3)
+    assert SparseVector(dense, [1.0, 2.0, 3.0]).indices is dense
+    params = ModelParams(dim=3, epsilon=0.01)
+    model = Model(params).feed(listed[:200]).finish()
+    reference = Model(params).train_stream(ds.examples[:200])
+    assert [cs.ball.center.explicit.tobytes() for cs in model.cover.cores] == [
+        cs.ball.center.explicit.tobytes() for cs in reference.cover.cores]
+    queries = [ex.x for ex in listed[200:]]
+    assert np.array_equal(model.predict(queries), reference.predict(queries))
+    x = SparseVector(np.array([1, 3]), np.array([1.0, -2.0]))
+    assert model.predict([SparseVector([1, 3], [1.0, -2.0])]) == reference.predict([x])
 
 
 def test_classify_single_ball_sign_symmetry():
