@@ -45,8 +45,8 @@ _row_sum = np.add.reduce  # the pairwise sum of ``ndarray.sum``, without its wra
 
 @dataclass(eq=False)
 class Lookahead:
-    """Pending-point buffer, processed when it holds ``params.lookahead``
-    points of its cover's ``params`` (L = 0 means per-point processing)."""
+    """Pending-point buffer; the cover processes it once it holds L =
+    ``params.lookahead`` points (L = 0 means per-point processing)."""
 
     pending: list[AugPoint] = field(default_factory=list)
 
@@ -57,7 +57,7 @@ class BlurredBallCover:
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self._slack2 = params.slack_weight * params.slack_weight  # every escape test's
+        self._slack2 = params.slack_weight * params.slack_weight  # each escape test adds it
         self.cores = []
         self.points_seen = 0
 

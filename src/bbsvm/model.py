@@ -34,7 +34,7 @@ MARGIN2_RTOL = 1e-9  # margin^2 / kappa^2 at or below which a ball separates not
 _vdot = np.vdot.__wrapped__  # v.dot's bits, no overflow warning, no dispatch cost
 
 
-@dataclass(frozen=True)  # the cover reads epsilon, delta, C and L from here
+@dataclass(frozen=True)  # the cover keeps it and caches arrays derived from it
 class ModelParams:
     """Training configuration; ``delta`` defaults to ``epsilon / 2``."""
 

@@ -417,11 +417,12 @@ def _lines_run(func, *args):
             lines.add(frame.f_lineno)
         return local
 
+    previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
         return func(*args), lines
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
 
 
 def test_approx_meb_stops_when_a_rebuilt_inverse_is_stuck_again():
