@@ -8,22 +8,37 @@ of the buffer together with every retained core point, and older balls with
 radius below eps/4 of the new radius are discarded.  The solver starts warm
 from the newest ball's core, which is among those inputs (see ``approx_meb``).
 
-The escape test tries the newest ball first.  It encloses the last merge's
-buffer and every core point retained then, so it holds most points that do
-not escape, and only a point outside it is measured against all balls.  The
-order changes no decision: a point is inside when it lies in any expanded
-ball, the newest ball's distance is computed by the same expression (same
-bits) as its row of the all-balls test, and no merge discards the ball it
-makes.
+The escape test settles each ball first in dot form, ``d~ = N - 2 c.e + P``,
+with ``N = |c|^2 + s`` (``s`` the center's slack norm squared) cached with
+the balls and ``P = e.e + sw^2`` (``sw`` the slack weight) one dot: the
+newest ball, which holds most points that do not escape, takes one more
+dot, and all balls one ``centers @ e``.  A ball is settled only when the
+bound ``tau = 8 g (N + P + L) + n 2^-1060`` shows on which side of its
+squared expanded radius ``L`` the difference form ``D^`` (subtract, square,
+row sum, add ``s`` and ``sw^2``) lies; ``n`` is the explicit length, ``u =
+2^-53`` and ``g = (n+4) u / (1 - (n+4) u)``.  With ``D`` the exact value: a
+dot product of length n in any order, FMA included, errs by at most ``g sum
+|c_i e_i| <= g (|c|^2 + |e|^2) / 2``, so the errors of ``N``, ``P`` and
+``2 c.e`` and two roundings give ``|d~ - D| <= 3 g (N + P)``; every term of
+the difference form is nonnegative and carries at most n + 4 roundings, so
+``|D^ - D| <= g D <= 2 g (N + P)``.  The other ``3 g (N + P) + 8 g L`` of
+``tau`` covers the roundings of ``tau`` and of ``d~ +- tau``, and ``n
+2^-1060`` covers underflow (at most 2^-1075 a product).  So, in finite
+arithmetic, ``d~ + tau <= L`` proves ``D^ <= L`` and ``d~ - tau > L`` proves
+``D^ > L``; a NaN fails both.  A point the newest ball certainly holds is
+inside; if every ball is settled, the point escapes iff none holds it; else
+(``|d~ - L| < tau`` for a ball: a few 1e-14 of ``L`` for a mapped point)
+the difference form over all balls decides.  Every decision is the
+difference form's, bit for bit.
 
 A buffer of two or more points meets the newest ball as one block: its rows
 are subtracted from the newest center, squared in place and summed along
 each row.  A C-contiguous row sum over the last axis is NumPy's pairwise sum
-of that row, so each row carries the bits of ``escapes``' own sum, and the
-slack terms are added in the same order.  Only the rows outside the newest
-ball go on to ``escapes``, and the buffer merges iff one of them escapes: the
-decision of testing every point alone.  A one-point buffer (L = 0 or 1) goes
-straight to ``escapes``, since building a block costs more than it saves.
+of that row, so each row carries the bits of the difference form's sum, and
+the slack terms are added in the same order.  Only the rows outside the
+newest ball go on to ``escapes``, and the buffer merges iff one of them
+escapes: the decision of testing every point alone.  A one-point buffer (L =
+0 or 1) goes straight to ``escapes``, since a block costs more than it saves.
 """
 
 from __future__ import annotations
@@ -41,6 +56,7 @@ if TYPE_CHECKING:  # model imports this module
 __all__ = ["BlurredBallCover", "Lookahead"]
 
 _row_sum = np.add.reduce  # the pairwise sum of ``ndarray.sum``, without its wrapper
+_vdot = np.vdot.__wrapped__  # v.dot's bits, no overflow warning, no dispatch cost
 
 
 @dataclass(eq=False)
@@ -68,16 +84,23 @@ class BlurredBallCover:
         ``p`` must be fresh, its id a stream position no center has met (see
         ``offer``): it then meets no center's slack coefficients, so its
         squared distance is the explicit part plus both slack norms.  The
-        newest ball is tested first and the rest only when ``p`` is outside
-        it, which is exact (see the module docstring).
+        decisions are the difference form's; the dot form with its rounding
+        bound settles nearly all of them (see the module docstring).
         """
         if self._centers is None:
             return True
-        d = self._newest - p.explicit
-        d *= d
-        if _row_sum(d) + self._newest_slack2 + self._slack2 <= self._newest_limit2:
+        e = p.explicit
+        P = float(_vdot(e, e)) + self._slack2
+        slop = self._gamma8 * P  # the point's share of every ball's tau
+        d = self._newest_norm2 - 2.0 * float(_vdot(self._newest, e)) + P
+        if d + (self._newest_tau + slop) <= self._newest_limit2:
             return False
-        d = self._centers - p.explicit
+        d = self._norms2 - 2.0 * (self._centers @ e) + P
+        tau = self._taus + slop
+        inside = d + tau <= self._limits2
+        if (inside | (d - tau > self._limits2)).all():  # every ball settled
+            return not inside.any()
+        d = self._centers - e
         d *= d
         d2 = _row_sum(d, axis=1)
         d2 += self._center_slack2
@@ -168,6 +191,12 @@ class BlurredBallCover:
         self._limits2 = limits * limits
         self._newest_slack2 = float(self._center_slack2[-1])
         self._newest_limit2 = float(self._limits2[-1])
+        # The dot form's center norms and the balls' share of its bound tau.
+        n = self._centers.shape[1]
+        self._gamma8 = 8.0 * (n + 4) * 2.0**-53 / (1.0 - (n + 4) * 2.0**-53)
+        self._norms2 = np.vecdot(self._centers, self._centers) + self._center_slack2
+        self._taus = self._gamma8 * (self._norms2 + self._limits2) + n * 2.0**-1060
+        self._newest_norm2, self._newest_tau = float(self._norms2[-1]), float(self._taus[-1])
 
     def query_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """(centers, center slack norms squared, radii) or None when empty."""

@@ -113,15 +113,18 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 # Weak, so an array lives only while some row holds it: a strong cache would
-# keep one array for every length ever parsed.
-_dense_indices = weakref.WeakValueDictionary()
+# keep one array for every length ever parsed.  A plain dict, so the feature
+# map tests a row with one lookup and one call.
+_dense_indices: dict[int, weakref.ref] = {}
 
 
 def _dense_index(k: int) -> np.ndarray:
     """The one live read-only int64 array ``1..k``, made if no row holds it."""
-    index = _dense_indices.get(k)
-    if index is None:
-        index = _dense_indices[k] = _read_only(np.arange(1, k + 1, dtype=np.int64))
+    ref = _dense_indices.get(k)
+    if ref is None or (index := ref()) is None:
+        index = _read_only(np.arange(1, k + 1, dtype=np.int64))
+        _dense_indices[k] = weakref.ref(  # dropped when it dies, if still k's
+            index, lambda ref: _dense_indices.get(k) is ref and _dense_indices.pop(k))
     return index
 
 

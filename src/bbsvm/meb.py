@@ -23,7 +23,7 @@ import numpy as np
 
 __all__ = ["AugPoint", "Ball", "Center", "CoreSet", "approx_meb"]
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class AugPoint:
     """A point of the augmented space: dense block plus one slack axis.
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cover import BlurredBallCover, Lookahead
+from .cover import BlurredBallCover, Lookahead, _vdot
 from .data import SparseVector, TrainingExample, _dense_indices
 from .meb import AugPoint
 
@@ -31,7 +31,6 @@ __all__ = ["Model", "ModelParams", "feature_map"]
 QUERY_CHUNK = 256  # rows of predict's one query block: one GEMM shape for every chunk
 QUERY_BLOCK_BYTES = 2**21  # caps the block's rows when wide: dim=10**6 takes 8 MB, not 2 GB
 MARGIN2_RTOL = 1e-9  # margin^2 / kappa^2 at or below which a ball separates nothing
-_vdot = np.vdot.__wrapped__  # v.dot's bits, no overflow warning, no dispatch cost
 
 
 @dataclass(frozen=True)  # the cover keeps it and caches arrays derived from it
@@ -95,8 +94,8 @@ def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
     dim = params.dim
     explicit = np.zeros(dim + 1)
     features = explicit[:-1]
-    # The size first: it costs far less than the weak-map lookup.
-    if x.indices.size == dim and x.indices is _dense_indices.get(dim):
+    # The size first: a sparse row then skips the lookup.
+    if x.indices.size == dim and (ref := _dense_indices.get(dim)) and x.indices is ref():
         features[...] = x.values
     else:
         if x.indices.size and x.indices[0] < 1:
@@ -108,7 +107,9 @@ def _augment(x: SparseVector, sign: int, params: ModelParams) -> np.ndarray:
             if top > dim:
                 raise ValueError(f"feature index {top} exceeds dimension {dim}") from None
             raise ValueError(f"feature index {x.indices.min()} is below 1") from None
-    norm = _norm(features)
+    norm = math.sqrt(_vdot(features, features))  # ``_norm``'s first try, inline
+    if norm == 0.0 or norm == math.inf:
+        norm = _norm(features)  # rescaled
     if not 0.0 < norm < math.inf or 1.0 / norm == math.inf:
         raise ValueError("input vector needs a finite nonzero norm with a finite "
                          f"reciprocal, got {norm!r}")
@@ -129,7 +130,7 @@ def _query_rows(
     rows with ``_norm``'s ddot."""
     Q = P[: len(chunk)]
     F = Q[:, :-1]
-    index = _dense_indices.get(params.dim)
+    index = (ref := _dense_indices.get(params.dim)) and ref()
     if index is not None and all(x.indices is index for x in chunk):
         F[...] = np.concatenate([x.values for x in chunk]).reshape(F.shape)
     else:

@@ -156,7 +156,7 @@ def load_model(path) -> Model:
 
     params = ModelParams(dim, epsilon, C, lookahead, delta)
     if abs(kappa - params.kappa) > 1e-9 * params.kappa:
-        raise ModelFormatError("kappa is inconsistent with C")
+        raise ModelFormatError(f"line 2: kappa {kappa} is inconsistent with C")
 
     cores = []
     points: dict[int, AugPoint] = {}

@@ -36,21 +36,35 @@ def test_bench_generated_rows_parse_back_exactly(tmp_path):
     bench_tests.test_generated_rows_parse_back_exactly(tmp_path)
 
 
+def _traced_metrics(tmp_path, n, C, lookahead):
+    """The bench's per-layer metrics of training on ``n`` parsed points."""
+    noise = 0.0 if C == math.inf else 0.05
+    path = tmp_path / "train.svm"
+    path.write_text(format_libsvm(generate_synthetic(n, 8, 0.05, noise, seed=3)))
+    params = ModelParams(dim=8, epsilon=0.01, C=C, lookahead=lookahead)
+    with bench_tests.spans.Tracer() as tracer:
+        Model(params).train_stream(bbsvm.data.load_libsvm(path).examples)  # traced
+    return bench_tests.spans.layer_metrics(tracer.spans)
+
+
 @pytest.mark.parametrize("C", [10.0, math.inf])
 def test_bench_counts_at_a_lookahead_of_ten(tmp_path, C):
     # With a partial last buffer, the bench must still count one feature map
     # a point, one escape check a full buffer plus one for the flush, and
     # one solver call a merge.
-    n = 95
-    noise = 0.0 if C == math.inf else 0.05
-    path = tmp_path / "train.svm"
-    path.write_text(format_libsvm(generate_synthetic(n, 8, 0.05, noise, seed=3)))
-    params = ModelParams(dim=8, epsilon=0.01, C=C, lookahead=10)
-    with bench_tests.spans.Tracer() as tracer:
-        Model(params).train_stream(bbsvm.data.load_libsvm(path).examples)  # traced
-    metrics = bench_tests.spans.layer_metrics(tracer.spans)
-    assert metrics["model.feature_map_calls"] == n
-    assert metrics["cover.escape_checks"] == n // 10 + 1
+    metrics = _traced_metrics(tmp_path, 95, C, 10)
+    assert metrics["model.feature_map_calls"] == 95
+    assert metrics["cover.escape_checks"] == 95 // 10 + 1
+    assert metrics["cover.merges"] == metrics["meb.calls"] > 0
+
+
+@pytest.mark.parametrize("C", [10.0, math.inf])
+def test_bench_counts_at_a_lookahead_of_zero(tmp_path, C):
+    # The soft-l0 workload's path: one feature map and one escape check a
+    # point (the flush finds no pending point), and one solver call a merge.
+    metrics = _traced_metrics(tmp_path, 95, C, 0)
+    assert metrics["model.feature_map_calls"] == 95
+    assert metrics["cover.escape_checks"] == 95
     assert metrics["cover.merges"] == metrics["meb.calls"] > 0
 
 

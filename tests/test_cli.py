@@ -552,7 +552,7 @@ def test_model_file_names_a_misplaced_record_and_checks_kappa(tmp_path, model_fi
     with pytest.raises(ModelFormatError, match="^line 3: expected 'epsilon' record$"):
         load_model(bad)
     bad.write_text("\n".join(["BBSVM 3", "kappa 1.5", *lines[2:]]) + "\n")  # C = inf
-    with pytest.raises(ModelFormatError, match="^kappa is inconsistent with C$"):
+    with pytest.raises(ModelFormatError, match="^line 2: kappa 1.5 is inconsistent with C$"):
         load_model(bad)
 
 

@@ -287,6 +287,137 @@ def test_a_buffer_merges_iff_a_point_past_the_newest_boundary_escapes(C):
     assert len(merges) == 3 * len(past)
 
 
+def _near_boundaries(cover, slack_weight, rng, first_id):
+    """Fresh points at the squared distance of every ball's expanded limit,
+    within a few ulps of it and a few ulps of the radius, and at its center."""
+    centers, center_slack2, radii = cover.query_arrays()
+    limits2 = ((1.0 + cover.params.epsilon) * radii) ** 2
+    pts = []
+    for c, s2, lim2, r in zip(centers, center_slack2, limits2, radii):
+        u = rng.standard_normal(c.size)
+        u /= np.linalg.norm(u)
+        t = math.sqrt(max(lim2 - s2 - slack_weight**2, 0.0))
+        steps = [t * (1.0 + j * 2.0**-52) for j in range(-3, 4)]
+        steps += [t + j * math.ulp(max(t, r)) for j in (-2, 2)] + [0.0]
+        pts += [WeightedPoint(c + step * u, slack_weight, first_id + len(pts) + k)
+                for k, step in enumerate(steps)]
+    return pts
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 3]),
+    shift=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+    spreads=st.lists(st.sampled_from([0.0, 1e-300, 1e-12, 1e-6, 1e-2, 1.0]),
+                     min_size=1, max_size=4),
+    eps=st.sampled_from([0.1, 1e-3, 1e-9]),
+    scale=st.sampled_from([1.0, 1e-160]),
+)
+def test_escapes_repeats_the_reference_where_the_bound_decides_little(
+    seed, dim, shift, spreads, eps, scale
+):
+    # Far from the origin, with tiny radii, with zero radii from repeated
+    # points, or at a scale where squares underflow, the dot form's bound is
+    # wide and most tests reach the difference form; near every boundary the
+    # decisions must still be the reference's.
+    # Each ball is centered on the first of its three points and reaches the
+    # farthest, so three copies of one point make a zero radius.
+    rng = np.random.default_rng(seed)
+    origin = shift * scale * rng.uniform(-1.0, 1.0, dim)
+    cores = []
+    for k, spread in enumerate(spreads):
+        base = origin + scale * rng.uniform(-1.0, 1.0, dim)
+        rows = base + spread * scale * rng.standard_normal((3, dim))
+        rows[0] = base
+        radius = float(np.linalg.norm(rows - base, axis=1).max())
+        members = [raw(row, 3 * k + i) for i, row in enumerate(rows)]
+        cores.append(CoreSet(members, Ball(Center(base.copy()), radius)))
+    cover = BlurredBallCover(raw_params(eps))
+    cover.cores = cores
+    pts = _near_boundaries(cover, 0.0, rng, 3 * len(spreads))
+    pts += [raw(base + rng.standard_normal(dim) * scale * 10.0**-k, len(pts) + 10**6)
+            for k in range(0, 16, 3)]
+    assert [cover.escapes(p) for p in pts] == escape_mask(cover, pts).tolist()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    dim=st.integers(2, 6),
+    C=st.sampled_from([math.inf, 10.0]),
+    eps=st.sampled_from([0.1, 0.01, 0.001]),
+)
+def test_escapes_repeats_the_reference_on_mapped_streams(seed, n, dim, C, eps):
+    # At L = 0 every training point meets ``escapes`` alone; fresh mapped
+    # points of both labels and points at every expanded boundary must be
+    # decided as the all-balls reference decides them.
+    noise = 0.0 if C == math.inf else 0.05
+    ds = generate_synthetic(n + 40, dim, 0.0, noise, seed=seed)
+    params = ModelParams(dim=dim, epsilon=eps, C=C, lookahead=0)
+    model = Model(params).train_stream(ds.examples[:n])
+    cover = model.cover
+    pts = [weighted(feature_map(ex.x, ex.y if k % 2 else -ex.y, params,
+                                cover.points_seen + k), params)
+           for k, ex in enumerate(ds.examples[n:])]
+    rng = np.random.default_rng(seed)
+    pts += _near_boundaries(cover, params.slack_weight, rng, cover.points_seen + 40)
+    assert [cover.escapes(p) for p in pts] == escape_mask(cover, pts).tolist()
+
+
+def _counting_row_sums(monkeypatch):
+    """A list that grows by one at each call of the difference form's row sum."""
+    calls = []
+    row_sum = bbsvm.cover._row_sum
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return row_sum(*args, **kwargs)
+
+    monkeypatch.setattr(bbsvm.cover, "_row_sum", counting)
+    return calls
+
+
+def _reaches_the_difference_form(cover, pts, calls):
+    """Per point, whether ``cover.escapes`` ran the counted row sum."""
+    reached = []
+    for p in pts:
+        before = len(calls)
+        cover.escapes(p)
+        reached.append(len(calls) > before)
+    return reached
+
+
+@pytest.mark.parametrize("C", [math.inf, 10.0])
+def test_the_dot_form_decides_nearly_every_fresh_point(monkeypatch, C):
+    # Away from a boundary the bound settles every ball, so the difference
+    # form runs for at most 1% of the fresh points, escaping or not.
+    model, fresh = _trained(C, 0)
+    cover = model.cover
+    pts = [feature_map(ex.x, ex.y if k % 2 else -ex.y, model.params, cover.points_seen + k)
+           for k, ex in enumerate(fresh)]
+    calls = _counting_row_sums(monkeypatch)
+    reached = _reaches_the_difference_form(cover, pts, calls)
+    assert sum(reached) <= 0.01 * len(pts)
+    outcomes = {cover.escapes(p) for p in pts}
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("C", [math.inf, 10.0])
+def test_points_on_an_expanded_boundary_reach_the_difference_form(monkeypatch, C):
+    # On a boundary no bound can decide: every such point, on the newest
+    # ball's boundary, one step past it or on an older ball's, is decided
+    # by the difference form.
+    model, _ = _trained(C, 10)
+    cover, sw = model.cover, model.params.slack_weight
+    on, past = _on_newest_boundary(cover, sw, cover.points_seen)
+    older = _on_older_boundaries(cover, sw, cover.points_seen + len(on) + len(past))
+    assert len(on) >= 200 and len(past) >= 30 and len(older) >= 20
+    calls = _counting_row_sums(monkeypatch)
+    assert all(_reaches_the_difference_form(cover, [*on, *past, *older], calls))
+
+
 # ----------------------------------------------------------------------- offer
 
 

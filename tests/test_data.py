@@ -228,13 +228,13 @@ def test_a_mixed_chunk_gives_sparse_rows_their_own_indices():
     lines = ["+1 1:0.5 2:1\n", "-1 2:3 5:1\n", "+1 1:2\n", "-1 1:1 2:2 4:3\n",
              "+1 1:7 2:-1\n", "-1 3:0.25\n"]
     rows, top = data._parse_block(lines)
-    shared = {k: a for k, a in data._dense_indices.items()
-              if any(row.x.indices is a for row in rows)}
+    shared = {k: ref() for k, ref in data._dense_indices.items()
+              if any(row.x.indices is ref() for row in rows)}
     assert top == 5 and sorted(shared) == [1, 2]
     assert rows[0].x.indices is rows[4].x.indices is shared[2] is data._dense_index(2)
     assert rows[2].x.indices is shared[1] is data._dense_index(1)
     for k in (1, 3, 5):
-        assert not any(rows[k].x.indices is a for a in data._dense_indices.values())
+        assert not any(rows[k].x.indices is ref() for ref in data._dense_indices.values())
     assert _outcome(lambda: data.Dataset(rows, top)) == _outcome(_line_parser(lines))
 
 
