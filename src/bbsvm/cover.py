@@ -25,11 +25,11 @@ the difference form is nonnegative and carries at most n + 4 roundings, so
 ``tau`` covers the roundings of ``tau`` and of ``d~ +- tau``, and ``n
 2^-1060`` covers underflow (at most 2^-1075 a product).  So, in finite
 arithmetic, ``d~ + tau <= L`` proves ``D^ <= L`` and ``d~ - tau > L`` proves
-``D^ > L``; a NaN fails both.  A point the newest ball certainly holds is
-inside; if every ball is settled, the point escapes iff none holds it; else
-(``|d~ - L| < tau`` for a ball: a few 1e-14 of ``L`` for a mapped point)
-the difference form over all balls decides.  Every decision is the
-difference form's, bit for bit.
+``D^ > L``; a NaN fails both.  A point that the newest ball, or else any
+ball, certainly holds is inside; one that every ball certainly leaves out
+escapes; else (``|d~ - L| < tau`` for a ball; ``8 g`` is 2.2e-14 for 20
+features) the difference form over all balls decides.  Every decision is
+the difference form's, bit for bit.
 
 A buffer of two or more points meets the newest ball as one block: its rows
 are subtracted from the newest center, squared in place and summed along
@@ -97,9 +97,10 @@ class BlurredBallCover:
             return False
         d = self._norms2 - 2.0 * (self._centers @ e) + P
         tau = self._taus + slop
-        inside = d + tau <= self._limits2
-        if (inside | (d - tau > self._limits2)).all():  # every ball settled
-            return not inside.any()
+        if (d + tau <= self._limits2).any():  # some ball certainly holds p
+            return False
+        if (d - tau > self._limits2).all():  # no ball can hold p
+            return True
         d = self._centers - e
         d *= d
         d2 = _row_sum(d, axis=1)
