@@ -30,15 +30,6 @@ ball, certainly holds is inside; one that every ball certainly leaves out
 escapes; else (``|d~ - L| < tau`` for a ball; ``8 g`` is 2.2e-14 for 20
 features) the difference form over all balls decides.  Every decision is
 the difference form's, bit for bit.
-
-A buffer of two or more points meets the newest ball as one block: its rows
-are subtracted from the newest center, squared in place and summed along
-each row.  A C-contiguous row sum over the last axis is NumPy's pairwise sum
-of that row, so each row carries the bits of the difference form's sum, and
-the slack terms are added in the same order.  Only the rows outside the
-newest ball go on to ``escapes``, and the buffer merges iff one of them
-escapes: the decision of testing every point alone.  A one-point buffer (L =
-0 or 1) goes straight to ``escapes``, since a block costs more than it saves.
 """
 
 from __future__ import annotations
@@ -131,20 +122,10 @@ class BlurredBallCover:
         return self._process(buffer)
 
     def _process(self, buffer: Lookahead) -> bool:
-        """Merge iff a pending point escapes (two or more points are first
-        tested as one block, see the module docstring); clear the buffer."""
+        """Merge iff a pending point escapes (tested in stream order up to
+        the first that does); clear the buffer."""
         pending = buffer.pending
-        if len(pending) == 1 or self._centers is None:
-            merged = self.escapes(pending[0])
-        else:
-            D = np.array([p.explicit for p in pending], dtype=np.float64)
-            np.subtract(self._newest, D, out=D)
-            D *= D
-            d2 = _row_sum(D, axis=1)
-            d2 += self._newest_slack2
-            d2 += self._slack2
-            outside = (d2 > self._newest_limit2).nonzero()[0]
-            merged = any(self.escapes(pending[i]) for i in outside)
+        merged = any(map(self.escapes, pending))
         if merged:
             self.merge_update(pending)  # returns before the clear
         pending.clear()
@@ -190,7 +171,6 @@ class BlurredBallCover:
         self._radii = np.array([cs.ball.radius for cs in cores])
         limits = (1.0 + self.params.epsilon) * self._radii
         self._limits2 = limits * limits
-        self._newest_slack2 = float(self._center_slack2[-1])
         self._newest_limit2 = float(self._limits2[-1])
         # The dot form's center norms and the balls' share of its bound tau.
         n = self._centers.shape[1]

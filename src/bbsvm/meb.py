@@ -89,7 +89,8 @@ def approx_meb(
     private axis of length ``sqrt(lam)``, so every active set is affinely
     independent.  When rounding in the inverse puts an active input
     farthest, or gives the entering one no positive weight, the inverse is
-    rebuilt on ``A``; if the next step fails alike, the loop stops.
+    rebuilt on ``A``; if the next step fails alike, a warm loop restarts
+    once from the first input (and is not trimmed), and a cold loop stops.
 
     ``warm`` lists inputs, matched by id (else ``ValueError``).  If two or
     more get positive weights from one KKT solve, the loop starts from them;
@@ -165,7 +166,7 @@ def approx_meb(
     lower0 = lower2 = 0.25 * float(d0.max())
     lam = 1e-3 * delta * lower0
 
-    init = [start], [1.0], [[-2.0 * (q[start] + lam), 1.0], [1.0, 0.0]]
+    init = cold = [start], [1.0], [[-2.0 * (q[start] + lam), 1.0], [1.0, 0.0]]
     if warm and lam > 0.0:  # lam = 0: every input is the start point
         wanted = list(dict.fromkeys(p.id for p in warm))  # each id once, in order
         W = np.searchsorted(ids[order], wanted)
@@ -210,9 +211,15 @@ def approx_meb(
         stuck = not fresh or target[-1] <= 0.0
         if stuck:
             # In exact arithmetic j is outside A and gets a positive weight, so
-            # H has drifted: rebuild it on A less j; after a rebuild, stop.
+            # H has drifted: rebuild it on A less j.  Stuck again after a
+            # rebuild, a warm loop restarts cold (and is not trimmed); a cold
+            # loop stops.
             if rebuilt:
-                break
+                if not warmed:
+                    break
+                n, warmed, rebuilt = 1, False, False
+                act[:1], alpha[:1], H[:2, :2] = cold
+                continue
             n -= fresh
             H[: n + 1, : n + 1], target = kkt(act[:n])
         rebuilt = stuck

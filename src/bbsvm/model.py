@@ -49,16 +49,16 @@ class ModelParams:
         if (self.dim + 1) * 8 > np.iinfo(np.intp).max:  # NumPy's array size limit
             raise ValueError(f"feature index {self.dim} implies dense points of "
                              f"{self.dim + 1} float64 values, more than an array holds")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:  # NaN too
+            raise ValueError("epsilon must be positive and finite")
         if not self.C > 0.0:
             raise ValueError("C must be positive (or inf)")
         if self.lookahead < 0:
             raise ValueError("lookahead must be nonnegative")
         if self.delta is None:
             object.__setattr__(self, "delta", self.epsilon / 2.0)
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         # Not a field: derived from C, once, here and on dataclasses.replace.
         weight = 0.0 if math.isinf(self.C) else 1.0 / math.sqrt(self.C)
         object.__setattr__(self, "slack_weight", weight)

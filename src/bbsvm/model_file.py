@@ -97,6 +97,7 @@ class _Reader:
         with open(path, "r", encoding="utf-8") as fh:
             self.lines = fh.read().splitlines()
         self.pos = 0
+        self.at: dict[str, int] = {}  # a one-value record's tag -> its line
 
     def error(self, message: str) -> ModelFormatError:
         return ModelFormatError(f"line {self.pos}: {message}")
@@ -130,6 +131,7 @@ class _Reader:
         """The value of the one-value record ``tag`` (no value or two are bad);
         an int record counts something, so it is never negative."""
         value = self.number(" ".join(self.tagged(tag)), tag, kind)
+        self.at[tag] = self.pos
         if kind is int and value < 0:
             raise self.error(f"{tag} {value} is negative")
         return value
@@ -151,11 +153,15 @@ def load_model(path) -> Model:
     dim = reader.record("dim", int)
     lookahead = ModelParams.lookahead if v1 else reader.record("lookahead", int)
     points_seen = None if v1 else reader.record("points_seen", int)
-    seen_line = reader.pos
     ball_count = reader.record("balls", int)
 
-    params = ModelParams(dim, epsilon, C, lookahead, delta)
-    if abs(kappa - params.kappa) > 1e-9 * params.kappa:
+    try:
+        params = ModelParams(dim, epsilon, C, lookahead, delta)
+    except ValueError as err:  # the message opens with its field ("feature index": dim)
+        field = "dim" if str(err).startswith("feature index") else str(err).split()[0]
+        line = reader.at.get(field, reader.at["epsilon"])  # v1's delta is epsilon/2
+        raise ModelFormatError(f"line {line}: {err}") from None
+    if not abs(kappa - params.kappa) <= 1e-9 * params.kappa:  # NaN too
         raise ModelFormatError(f"line 2: kappa {kappa} is inconsistent with C")
 
     cores = []
@@ -224,7 +230,7 @@ def load_model(path) -> Model:
         points_seen = max(points, default=-1) + 1
     elif points_seen <= max(points, default=-1):
         raise ModelFormatError(
-            f"line {seen_line}: points_seen {points_seen} is not above every member id"
+            f"line {reader.at['points_seen']}: points_seen {points_seen} is not above every member id"
         )
     model = Model(params)
     model.cover.cores = cores

@@ -5,7 +5,7 @@ only (``BlurredBallCover.escapes``, ``Model.predict``).  This module keeps
 the plain one-point, one-ball versions of the same formulas, written from
 the definitions of the augmented space, the all-points-by-all-balls escape
 test whose decisions ``escapes`` must repeat bit for bit, a cover that
-decides each buffer point by point, and an exact minimum enclosing ball
+decides each buffer by that test, and an exact minimum enclosing ball
 for dimension <= 3 to measure ``approx_meb`` against.
 
 The library's points (``AugPoint``) are a row and an id: every point of a
@@ -175,15 +175,18 @@ def escape_mask(cover: BlurredBallCover, pts: Sequence[WeightedPoint]) -> np.nda
     return (d2 > limits2[None, :]).all(axis=1)
 
 
-class PerPointCover(BlurredBallCover):
-    """The cover with its former buffer decision: ``escapes`` on every
-    pending point in turn, with no block test against the newest ball."""
+class EscapeMaskCover(BlurredBallCover):
+    """The cover with the reference buffer decision: merge iff the cover is
+    empty or ``escape_mask`` puts some pending point outside every ball."""
 
     def _process(self, buffer: Lookahead) -> bool:
-        merged = any(map(self.escapes, buffer.pending))
+        pending = buffer.pending
+        merged = self.query_arrays() is None or bool(
+            escape_mask(self, [weighted(p, self.params) for p in pending]).any()
+        )
         if merged:
-            self.merge_update(buffer.pending)
-        buffer.pending.clear()
+            self.merge_update(pending)
+        pending.clear()
         return merged
 
 

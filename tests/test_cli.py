@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,13 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "index 4611686018427387904 implies dense points of 4611686018427387905 " in (
         capsys.readouterr().err
     )
+    good = tmp_path / "good.txt"
+    good.write_text("+1 1:1\n-1 1:-1\n")
+    assert run_cli(
+        ["train", "--data", str(good), "--model", str(tmp_path / "m.bbsvm"),
+         "--epsilon", "nan"]
+    ) == 2
+    assert "epsilon must be positive and finite" in capsys.readouterr().err
 
 
 def test_train_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
@@ -554,6 +562,42 @@ def test_model_file_names_a_misplaced_record_and_checks_kappa(tmp_path, model_fi
     bad.write_text("\n".join(["BBSVM 3", "kappa 1.5", *lines[2:]]) + "\n")  # C = inf
     with pytest.raises(ModelFormatError, match="^line 2: kappa 1.5 is inconsistent with C$"):
         load_model(bad)
+
+
+
+@pytest.mark.parametrize(
+    "record, line, message",
+    [
+        ("epsilon -0.5", 3, "epsilon must be positive and finite"),
+        ("epsilon nan", 3, "epsilon must be positive and finite"),
+        ("epsilon inf", 3, "epsilon must be positive and finite"),
+        ("delta 0.0", 4, "delta must be positive and finite"),
+        ("delta nan", 4, "delta must be positive and finite"),
+        ("C -1", 5, "C must be positive (or inf)"),
+        ("dim 0", 6, "dim must be positive"),
+    ],
+)
+def test_model_file_names_the_line_of_a_parameter_that_the_params_refuse(
+    tmp_path, model_file, record, line, message
+):
+    lines = model_file.read_text().splitlines()
+    assert lines[line - 1].split()[0] == record.split()[0]
+    lines[line - 1] = record
+    bad = tmp_path / "bad.bbsvm"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match=f"^line {line}: {re.escape(message)}$"):
+        load_model(bad)
+
+
+def test_a_version_1_file_names_the_epsilon_line_for_the_delta_it_implies(tmp_path):
+    # Version 1 has no delta record: its delta, epsilon/2, is 0 here.
+    v1 = _version_1_copy(tmp_path)
+    lines = v1.read_text().splitlines()
+    assert lines[2].startswith("epsilon ")
+    lines[2] = "epsilon 5e-324"
+    v1.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match="^line 3: delta must be positive and finite$"):
+        load_model(v1)
 
 
 def test_model_file_rejects_records_after_the_last_ball(tmp_path):

@@ -12,7 +12,7 @@ from bbsvm.data import generate_synthetic
 from bbsvm.meb import Ball, Center, CoreSet, approx_meb
 from bbsvm.model import Model, ModelParams, feature_map
 from oracle import (
-    PerPointCover,
+    EscapeMaskCover,
     WeightedPoint,
     balls,
     core_point_ids,
@@ -205,18 +205,18 @@ def cover_state(cover):
     eps=st.sampled_from([0.1, 0.01, 0.001]),
     lookahead=st.sampled_from([0, 1, 2, 3, 10]),
 )
-def test_the_buffer_block_test_trains_the_per_point_cover(
+def test_the_buffer_decisions_train_the_escape_mask_cover(
     seed, n, dim, C, eps, lookahead
 ):
-    # Testing a buffer against the newest ball as one block, and only its
-    # rows outside it point by point, must merge exactly when testing every
-    # point alone does, so both covers are the same, bit for bit.
+    # Testing each pending point with ``escapes`` up to the first that
+    # escapes must merge exactly when the reference all-points-by-all-balls
+    # test finds an escaping point, so both covers are the same, bit for bit.
     noise = 0.0 if C == math.inf else 0.05
     ds = generate_synthetic(n, dim, 0.0, noise, seed=seed)
     params = ModelParams(dim=dim, epsilon=eps, C=C, lookahead=lookahead)
     model = Model(params)
     reference = Model(params)
-    reference.cover = PerPointCover(params)
+    reference.cover = EscapeMaskCover(params)
     model.train_stream(ds.examples)
     reference.train_stream(ds.examples)
     assert cover_state(model.cover) == cover_state(reference.cover)

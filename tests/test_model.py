@@ -249,6 +249,16 @@ def test_params_validation_and_defaults():
         ModelParams(dim=2**62)
 
 
+
+@pytest.mark.parametrize("field", ["epsilon", "delta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_params_refuse_an_epsilon_or_delta_that_is_not_positive_and_finite(field, value):
+    # A NaN epsilon once failed at the first merge ("cannot convert float NaN
+    # to integer"), and epsilon = inf trained a one-ball model.
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite$"):
+        ModelParams(dim=5, **{field: value})
+
+
 # ---------------------------------------------------------------- train_stream
 
 
