@@ -229,9 +229,8 @@ def load_model(path) -> Model:
     if v1:
         points_seen = max(points, default=-1) + 1
     elif points_seen <= max(points, default=-1):
-        raise ModelFormatError(
-            f"line {reader.at['points_seen']}: points_seen {points_seen} is not above every member id"
-        )
+        raise ModelFormatError(f"line {reader.at['points_seen']}: points_seen "
+                               f"{points_seen} is not above every member id")
     model = Model(params)
     model.cover.cores = cores
     model.cover.points_seen = points_seen

@@ -400,6 +400,8 @@ def _line_index(lines, where):
         ("delta", "delta nan", "delta must be positive and finite"),
         ("C", "C -1", "C must be positive (or inf)"),
         ("dim", "dim 0", "dim must be positive"),
+        ("dim", "dim 4611686018427387904", "feature index 4611686018427387904 implies "
+         "dense points of 4611686018427387905 float64 values, more than an array holds"),
         ("lookahead", "lookahead ten", "bad lookahead 'ten'"),
         ("points_seen", "points_seen 1 2", "bad points_seen '1 2'"),
         ("points_seen", "points_seen 3", "points_seen 3 is not above every member id"),
