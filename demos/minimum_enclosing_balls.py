@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bbsvm import approx_meb
-from bbsvm.meb import AugPoint
+from bbsvm.meb import AugPoint, approx_meb
 
 # The exact oracle is test code and lives in tests/oracle.py.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))

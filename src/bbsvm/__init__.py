@@ -25,7 +25,6 @@ from .experiments import (
     run_experiment,
     write_csv,
 )
-from .meb import approx_meb
 from .model import Model, ModelParams
 from .model_file import ModelFormatError, load_model, save_model
 
@@ -42,7 +41,6 @@ __all__ = [
     "RunResult",
     "SparseVector",
     "TrainingExample",
-    "approx_meb",
     "epsilon_sweep",
     "format_libsvm",
     "generate_synthetic",

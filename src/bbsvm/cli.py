@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--test", required=True)
     sweep.add_argument("--epsilons", required=True, help="comma-separated list")
     sweep.add_argument("--lookaheads", default="0,10", help="comma-separated list")
-    sweep.add_argument("--C", type=float, default=float("inf"))
+    sweep.add_argument("--C", type=float, default=ModelParams.C)
     sweep.add_argument("--runs", type=int, default=20)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", default=None, help="defaults to stdout")
@@ -76,10 +76,12 @@ def _build_parser() -> _Parser:
 
 
 def _add_model_flags(cmd) -> None:
-    cmd.add_argument("--epsilon", type=float, default=0.001)
-    cmd.add_argument("--C", type=float, default=float("inf"), help="'inf' allowed")
-    cmd.add_argument("--L", type=int, default=10, help="lookahead buffer size")
-    cmd.add_argument("--delta", type=float, default=None, help="default epsilon/2")
+    cmd.add_argument("--epsilon", type=float, default=ModelParams.epsilon)
+    cmd.add_argument("--C", type=float, default=ModelParams.C, help="'inf' allowed")
+    cmd.add_argument("--L", type=int, default=ModelParams.lookahead,
+                     help="lookahead buffer size")
+    cmd.add_argument("--delta", type=float, default=ModelParams.delta,
+                     help="default epsilon/2")
 
 
 def _model_params(args, dim: int) -> ModelParams:

@@ -165,10 +165,9 @@ class BlurredBallCover:
     def cores(self, cores: list[CoreSet]) -> None:
         self._cores = cores
         if not cores:
-            self._centers = self._newest = self._center_slack2 = None
-            self._radii = self._limits2 = None
+            self._centers = None  # what escapes and query_arrays test first
             return
-        self._centers = np.stack([cs.ball.center.explicit for cs in cores])
+        self._centers = np.array([cs.ball.center.explicit for cs in cores])
         self._newest = self._centers[-1]
         self._center_slack2 = np.array([cs.ball.center.slack_norm2 for cs in cores])
         self._radii = np.array([cs.ball.radius for cs in cores])

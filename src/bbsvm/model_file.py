@@ -22,19 +22,28 @@ Format (UTF-8, one record per line, floats in shortest round-trip decimal):
 A core point is written in full once, where it first appears, and as its bare
 id in later balls, which load it as the same shared point.  Its ``<label>`` is
 the sign of its bias coordinate (the last float; 0 when that is not +-1) and
-its ``<slack_weight>`` the model's (1/sqrt(C), 0 for C=inf), both kept for
-older readers: loading checks them and keeps neither.  Every float round-trips
-exactly, so a reloaded model predicts identically and continues the stream as
-the saved model would: ``points_seen`` numbers the next training point and
-exceeds every member id, and each slack id is a member of its ball, listed
-once.  Versions 1 and 2 write every member in full; version 1 lacks the delta,
-lookahead and points_seen records (epsilon/2, 10, largest member id + 1).
-A slack block loads in one pass and a bare member id without a full row's
-checks; a slack block that fails is read again line by line, so every error
-still names its line.
+its ``<slack_weight>`` the model's (1/sqrt(C), 0 for C=inf).  Both are checks,
+not data: no reader of an older version accepts a ``BBSVM 3`` file, and
+loading keeps neither.  Every float round-trips exactly, so a reloaded model
+predicts identically and continues the stream as the saved model would:
+``points_seen`` numbers the next training point and exceeds every member id,
+and each slack id is a member of its ball, listed once.  Versions 1 and 2
+write every member in full; version 1 lacks the delta, lookahead and
+points_seen records (epsilon/2, 10, largest member id + 1).
+
+Loading refuses, naming the line: a radius that is negative or not finite; a
+center value, slack coefficient or member coordinate that is not finite (C is
+the one record that may be inf); and a full row that repeats an earlier id
+with other bits.  A repeated row with the same bits loads as the first row's
+point, so a loaded cover holds one point an id, as a trained one does.  These
+checks run once a ball and once a distinct point.  A slack block loads in one
+pass and a bare member id without a full row's checks; a slack block that
+fails is read again line by line, so every error still names its line.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -122,10 +131,16 @@ class _Reader:
             raise self.error(f"bad {what} {text!r}") from None
 
     def floats(self, texts: list[str], what: str) -> np.ndarray:
+        """A record's values, all finite: float() also parses nan and inf."""
         try:  # a record in one call; value by value only to name the first bad one
-            return np.array(list(map(float, texts)))
+            values = list(map(float, texts))
         except ValueError:
-            return np.array([self.number(v, what) for v in texts])
+            values = [self.number(v, what) for v in texts]
+        if not math.isfinite(sum(values)):  # one test a record; then find the value
+            for v in values:
+                if not math.isfinite(v):
+                    raise self.error(f"{what} {v} is not finite")
+        return np.array(values)
 
     def record(self, tag: str, kind=float):
         """The value of the one-value record ``tag`` (no value or two are bad);
@@ -168,6 +183,8 @@ def load_model(path) -> Model:
     points: dict[int, AugPoint] = {}
     for _ in range(ball_count):
         radius = reader.record("ball")
+        if not 0.0 <= radius < math.inf:  # NaN too
+            raise reader.error(f"ball radius {radius} is negative or not finite")
         explicit = reader.floats(reader.tagged("center"), "center coordinate")
         if explicit.size != dim + 1:
             raise reader.error("center has the wrong dimension")
@@ -190,6 +207,12 @@ def load_model(path) -> Model:
                 if pid in coeffs:
                     raise reader.error(f"slack id {pid} repeats")
                 coeffs[pid] = reader.number(parts[1], "slack coefficient")
+        center = Center(explicit, coeffs)  # sums the squared coefficients once
+        if not math.isfinite(center.slack_norm2):  # then look for the value
+            for k, c in enumerate(coeffs.values()):
+                if not math.isfinite(c):
+                    raise ModelFormatError(
+                        f"line {first + k + 1}: slack coefficient {c} is not finite")
         members = []
         count = reader.record("core", int)
         for line in reader.lines[reader.pos : reader.pos + count]:
@@ -211,7 +234,10 @@ def load_model(path) -> Model:
                     if weight != params.slack_weight:
                         raise reader.error(f"member slack weight {weight} is not "
                                            f"the model's {params.slack_weight}")
-                    points[pid] = AugPoint(coords, pid)
+                    if pid not in points:  # one point an id
+                        points[pid] = AugPoint(coords, pid)
+                    elif points[pid].explicit.tobytes() != coords.tobytes():  # v1, v2
+                        raise reader.error(f"member {pid} repeats with other coordinates")
                 elif pid not in points:
                     raise reader.error(f"member {pid} was not written earlier")
             members.append(points[pid])
@@ -222,7 +248,7 @@ def load_model(path) -> Model:
             k, pid = next((k, pid) for k, pid in enumerate(coeffs) if pid not in ids)
             raise ModelFormatError(
                 f"line {first + k + 1}: slack id {pid} is no core member")
-        cores.append(CoreSet(members, Ball(Center(explicit, coeffs), radius)))
+        cores.append(CoreSet(members, Ball(center, radius)))
     if reader.pos < len(reader.lines):
         raise ModelFormatError(f"line {reader.pos + 1}: record after the last ball")
 

@@ -10,6 +10,7 @@ saved one does.
 
 import gzip
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bbsvm.data
+import equivalence
 from bbsvm.data import format_libsvm, generate_synthetic, load_libsvm
 from bbsvm.model import Model, ModelParams
 from bbsvm.model_file import load_model, save_model
@@ -25,7 +27,7 @@ from bbsvm.model_file import load_model, save_model
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 _spec = importlib.util.spec_from_file_location("bench_tests", BENCH / "test_bench.py")
 bench_tests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_tests)
+_spec.loader.exec_module(bench_tests)  # puts bench/ on sys.path
 
 
 def test_bench_tracer_restores_the_originals_and_nests_spans(tmp_path):
@@ -88,6 +90,35 @@ def test_bench_cover_digest_survives_save_and_load(tmp_path, C):
     save_model(model, tmp_path / "m.bbsvm")
     digest = bench_tests.worker.cover_digest
     assert digest(load_model(tmp_path / "m.bbsvm")) == digest(model)
+
+
+def test_the_equivalence_check_repeats_itself_on_small_workloads(tmp_path):
+    # Two runs of tests/equivalence.py on the same seed agree on every field
+    # of every job, and every reloaded cover is its trained cover.
+    workloads = [bench_tests.small(name) for name in bench_tests.WORKLOADS]
+    runs = []
+    for side in "ab":
+        runs.append(list(equivalence.job_records(workloads, [1], tmp_path / side)))
+        (tmp_path / f"{side}.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in runs[-1]))
+    assert len(runs[0]) == sum(w.jobs for w in workloads) and runs[0] == runs[1]
+    assert all(r["cover"] == r["reloaded_cover"] for r in runs[1])
+    counts = equivalence.compare(*runs)["by_workload"]
+    assert {name: set(c.values()) for name, c in counts.items()} == {
+        w.name: {w.jobs} for w in workloads}
+    assert equivalence.main(["--compare", str(tmp_path / "a.jsonl"),
+                             str(tmp_path / "b.jsonl")]) == 0
+    runs[1][0]["accuracy"] = -1.0  # one field of one job differs
+    assert equivalence.compare(*runs)["by_workload"]["solve"]["accuracy_equal"] == 1
+
+
+def test_the_version_2_fixture_keeps_its_cover_digest_with_one_point_an_id():
+    # The digest of the load that made a new point for each full row.
+    model = load_model(Path(__file__).resolve().parent / "fixtures" / "v2_model.bbsvm")
+    assert bench_tests.worker.cover_digest(model) == (
+        "14c504525b269aa985b4fc238b13650afe1454b17b1ba72e1e02af7ed0669a90")
+    members = [p for cs in model.cover.cores for p in cs.members]
+    assert len({id(p) for p in members}) == len({p.id for p in members})
 
 
 @settings(max_examples=30, deadline=None)

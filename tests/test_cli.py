@@ -263,6 +263,11 @@ def test_model_file_version_2_fixture_loads_its_records():
     lines = V2_MODEL.read_text().splitlines()
     assert lines[0] == "BBSVM 2" and "points_seen 40" in lines
     model = load_model(V2_MODEL)
+    # Every member is a full row, and 31 rows name 15 ids: a repeated row
+    # loads as its id's first point, as training shares it.
+    members = [p for cs in model.cover.cores for p in cs.members]
+    assert len(members) == 31 and len({id(p) for p in members}) == 15
+    assert len({p.id for p in members}) == 15
     assert model.params == V2_PARAMS and model.cover.points_seen == 40
     assert [
         (
@@ -280,6 +285,31 @@ def test_model_file_version_2_fixture_loads_its_records():
     ds = load_libsvm(FIXTURES / "v2_train.txt")
     labels = model.predict([ex.x for ex in ds.examples])
     assert labels.tolist() == [ex.y for ex in ds.examples]
+
+
+def test_a_repeated_full_row_must_repeat_the_first_rows_bits(tmp_path):
+    # A bare id replaced by its full row loads as the same point, so the
+    # model saves the fixture's bytes again; with other bits it is refused.
+    lines = V3_MODEL.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if len(line.split()) == 1)
+    row = next(line for line in lines if line.split()[0] == lines[index]
+               and len(line.split()) == V3_PARAMS.dim + 4)
+    path = tmp_path / "repeated.bbsvm"
+    path.write_text("\n".join(lines[:index] + [row] + lines[index + 1 :]) + "\n")
+    model = load_model(path)
+    members = [p for cs in model.cover.cores for p in cs.members]
+    assert len({id(p) for p in members}) == len({p.id for p in members})
+    save_model(model, tmp_path / "again.bbsvm")
+    assert (tmp_path / "again.bbsvm").read_bytes() == V3_MODEL.read_bytes()
+
+    fields = row.split()
+    k = next(k for k in range(2, len(fields) - 2) if float(fields[k]) != 0.0)
+    fields[k] = repr(float(fields[k]) / 2.0)  # a feature, not the bias
+    path.write_text("\n".join(lines[:index] + [" ".join(fields)] + lines[index + 1 :])
+                    + "\n")
+    message = f"^line {index + 1}: member {fields[0]} repeats with other coordinates$"
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
 
 
 def test_model_file_rejects_other_versions(tmp_path, model_file):
@@ -410,12 +440,21 @@ def _line_index(lines, where):
         ("balls", "balls 2.5", "bad balls '2.5'"),
         ("balls", "balls -1", "balls -1 is negative"),
         ("ball", "ball r", "bad ball 'r'"),
+        # Non-finite values parse; a NaN ball labels every query alike and
+        # absorbs training without a merge.  C alone may be inf.
+        ("ball", "ball nan", "ball radius nan is negative or not finite"),
+        ("ball", "ball inf", "ball radius inf is negative or not finite"),
+        ("ball", "ball -1.0", "ball radius -1.0 is negative or not finite"),
+        ("center", "center 0 0 nan 0 0 1", "center coordinate nan is not finite"),
+        ("center", "center 0 0 0 0 0 -inf", "center coordinate -inf is not finite"),
         ("center", "center 1 2", "center has the wrong dimension"),
         ("slack", "slack many", "bad slack 'many'"),
         ("slack", "slack -5", "slack -5 is negative"),
         ("slack entry", "x 0.5", "bad slack id 'x'"),
         ("slack entry", "3 y", "bad slack coefficient 'y'"),
         ("slack entry", "3", "slack coefficient needs an id and a value"),
+        ("slack entry", "{own} nan", "slack coefficient nan is not finite"),
+        ("second slack entry", "{own} inf", "slack coefficient inf is not finite"),
         # The first ball's core is 1, 2, 3, 5, 9, and points_seen is 100.
         ("slack entry", "4 0.5", "slack id 4 is no core member"),
         ("slack entry", "100 0.5", "slack id 100 is no core member"),
@@ -433,6 +472,8 @@ def _line_index(lines, where):
         ("member", "0 1 0 0 0 0 0 0.5 0.3",
          "member label 1 is not the sign of its bias coordinate 0.5"),
         ("member", "0 1 0 z 0 0 0 1 0.3", "bad member coordinate 'z'"),
+        ("member", "0 1 0 nan 0 0 0 1 0.3", "member coordinate nan is not finite"),
+        ("member", "0 1 0 0 0 0 0 inf 0.3", "member coordinate inf is not finite"),
         ("member", "0 1 0 0 0 0 0 1 w", "bad member slack weight 'w'"),
         # Every member sits at the model's slack weight, 1/sqrt(10) here.
         ("member", "0 1 0 0 0 0 0 1 0.3",
@@ -449,9 +490,10 @@ def test_model_file_names_a_bad_record_and_its_line(
     save_model(model, tmp_path / "m.bbsvm")
     lines = (tmp_path / "m.bbsvm").read_text().splitlines()
     index = _line_index(lines, where)
-    first = lines[index - 1].split()[0]  # a slack entry's line: the id before it
-    lines[index] = edit.format(first=first)
-    message = message.format(first=first)
+    ids = {"first": lines[index - 1].split()[0],  # a slack entry's: the id before it
+           "own": lines[index].split()[0]}
+    lines[index] = edit.format(**ids)
+    message = message.format(**ids)
     bad = tmp_path / "bad.bbsvm"
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(ModelFormatError) as err:

@@ -259,8 +259,8 @@ def _on_newest_boundary(cover, slack_weight, first_id, tries=600):
 def test_a_buffer_merges_iff_a_point_past_the_newest_boundary_escapes(C):
     # Points on the newest ball's expanded boundary count as inside, and
     # points one step past it escape; each is buffered with points inside
-    # the newest ball, at every position of the buffer.  A block whose row
-    # sums lose the bits of ``escapes`` misplaces some of them.
+    # the newest ball, at every position of the buffer.  A buffer decision
+    # that skips a pending point misplaces a boundary point.
     model, fresh = _trained(C, 10)
     first = model.cover.points_seen
     inside = [weighted(feature_map(ex.x, ex.y, model.params, first + k), model.params)

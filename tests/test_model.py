@@ -906,17 +906,17 @@ def test_support_disjoint_for_mirrored_queries():
 
 def test_the_public_api_is_exactly_these_names():
     # The package namespace grows only on purpose; the geometry types
-    # (AugPoint, Ball, Center, CoreSet) live in bbsvm.meb, and the layers
-    # under Model in bbsvm.cover (BlurredBallCover) and bbsvm.model
-    # (feature_map).
+    # (AugPoint, Ball, Center, CoreSet) and their solver (approx_meb) live
+    # in bbsvm.meb, and the layers under Model in bbsvm.cover
+    # (BlurredBallCover) and bbsvm.model (feature_map).
     assert sorted(bbsvm.__all__) == sorted([
         "CSV_HEADER", "DataFormatError", "Dataset", "ExperimentReport", "Model",
         "ModelFormatError", "ModelParams", "RunResult", "SparseVector",
-        "TrainingExample", "approx_meb", "epsilon_sweep", "format_libsvm",
+        "TrainingExample", "epsilon_sweep", "format_libsvm",
         "generate_synthetic", "load_libsvm", "load_model", "parse_libsvm",
         "run_experiment", "save_model", "shuffled", "write_csv",
     ])
-    assert len(bbsvm.__all__) == len(set(bbsvm.__all__)) == 21
+    assert len(bbsvm.__all__) == len(set(bbsvm.__all__)) == 20
     for name in bbsvm.__all__:
         assert getattr(bbsvm, name) is not None, name
 
