@@ -36,7 +36,7 @@ center value, slack coefficient or member coordinate that is not finite (C is
 the one record that may be inf); and a full row that repeats an earlier id
 with other bits.  A repeated row with the same bits loads as the first row's
 point, so a loaded cover holds one point an id, as a trained one does.  These
-checks run once a ball and once a distinct point.  A slack block loads in one
+checks run once a ball and once a full row.  A slack block loads in one
 pass and a bare member id without a full row's checks; a slack block that
 fails is read again line by line, so every error still names its line.
 """
@@ -234,9 +234,9 @@ def load_model(path) -> Model:
                     if weight != params.slack_weight:
                         raise reader.error(f"member slack weight {weight} is not "
                                            f"the model's {params.slack_weight}")
-                    if pid not in points:  # one point an id
+                    if pid not in points:  # one point an id; versions 1, 2 repeat rows
                         points[pid] = AugPoint(coords, pid)
-                    elif points[pid].explicit.tobytes() != coords.tobytes():  # v1, v2
+                    elif points[pid].explicit.tobytes() != coords.tobytes():
                         raise reader.error(f"member {pid} repeats with other coordinates")
                 elif pid not in points:
                     raise reader.error(f"member {pid} was not written earlier")

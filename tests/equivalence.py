@@ -116,16 +116,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1])
     parser.add_argument("--seeds", default="1,2,3", help="comma-separated")
-    parser.add_argument("--out", type=Path)
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path)
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.compare:
         result = compare(*map(_read, args.compare))
         print(json.dumps(result, indent=1))
         return int(any(v != c["jobs"] for c in result["by_workload"].values()
                        for v in c.values()))
-    if args.out is None:
-        parser.error("--out or --compare is required")
     tree = args.tree.resolve()
     sys.path.insert(0, str(tree / "bench"))
     import worker
