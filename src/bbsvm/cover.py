@@ -35,6 +35,7 @@ the difference form's, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -106,7 +107,7 @@ class BlurredBallCover:
         is processed it is cleared afterward, merge or not.  ``p.id`` must
         be new to the cover (``Model`` passes the stream position, which is
         ``points_seen`` before the offer): the escape test ignores slack axes
-        a point shares with a center, and a merge keeps one point of each id.
+        a point shares with a center, and a merge takes each point object once.
         """
         pending = buffer.pending
         pending.append(p)
@@ -143,12 +144,9 @@ class BlurredBallCover:
         and the new pair last.
         """
         params = self.params
-        by_id: dict[int, AugPoint] = {}  # one point an id: buffer, then cores in order
-        for members in [escaped_buffer, *(cs.members for cs in self.cores)]:
-            for p in members:
-                by_id.setdefault(p.id, p)
+        members = chain(escaped_buffer, *(cs.members for cs in self.cores))
+        points = list(dict.fromkeys(members))  # each object once: one an id (see cores)
         warm = self.cores[-1].members if self.cores else None
-        points = list(by_id.values())
         ball, core = approx_meb(points, params.delta, params.slack_weight, warm)
         cut = (params.epsilon / 4.0) * ball.radius
         self.cores = [cs for cs in self.cores if cs.ball.radius >= cut] + [core]
@@ -157,8 +155,10 @@ class BlurredBallCover:
 
     @property
     def cores(self) -> list[CoreSet]:
-        """The retained (core set, ball) pairs, oldest first.  Assign a new
-        list to change them: that rebuilds the escape and predict arrays."""
+        """The retained (core set, ball) pairs, oldest first, which hold one
+        ``AugPoint`` object an id (``Model.feed``, ``approx_meb`` and
+        ``load_model`` keep it so).  Assign a new list to change them: that
+        rebuilds the escape and predict arrays."""
         return self._cores
 
     @cores.setter

@@ -33,12 +33,18 @@ points_seen records (epsilon/2, 10, largest member id + 1).
 
 Loading refuses, naming the line: a radius that is negative or not finite; a
 center value, slack coefficient or member coordinate that is not finite (C is
-the one record that may be inf); and a full row that repeats an earlier id
-with other bits.  A repeated row with the same bits loads as the first row's
-point, so a loaded cover holds one point an id, as a trained one does.  These
-checks run once a ball and once a full row.  A slack block loads in one
-pass and a bare member id without a full row's checks; a slack block that
-fails is read again line by line, so every error still names its line.
+the one record that may be inf); what training cannot produce, since mapped
+points lie on the sphere of radius kappa with explicit blocks of squared norm
+2: a radius above 2 kappa, a center (on its ``center`` line) whose squared
+norm with the slack part is above kappa^2, and a full row whose squared norm
+is above 2 (each bound 1e-9 wider for rounding; an overflow to inf exceeds
+it); a core block that lists one point twice; and a full row that repeats an
+earlier id with other bits.  A repeated row with the same bits loads as the
+first row's point, so a loaded cover holds one point an id, as a trained one
+does.  These checks run once a ball and once a distinct full row.  A slack
+block loads in one pass and a bare member id without a full row's checks; a
+slack block that fails is read again line by line, so every error still names
+its line.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import math
 
 import numpy as np
 
+from .cover import _vdot
 from .meb import AugPoint, Ball, Center, CoreSet
 from .model import Model, ModelParams
 
@@ -179,12 +186,15 @@ def load_model(path) -> Model:
     if not abs(kappa - params.kappa) <= 1e-9 * params.kappa:  # NaN too
         raise ModelFormatError(f"line 2: kappa {kappa} is inconsistent with C")
 
+    kappa2 = params.kappa * params.kappa * (1.0 + 1e-9)  # a trained center's bound
     cores = []
     points: dict[int, AugPoint] = {}
     for _ in range(ball_count):
         radius = reader.record("ball")
         if not 0.0 <= radius < math.inf:  # NaN too
             raise reader.error(f"ball radius {radius} is negative or not finite")
+        if radius > 2.0 * params.kappa * (1.0 + 1e-9):
+            raise reader.error(f"ball radius {radius} exceeds 2 kappa")
         explicit = reader.floats(reader.tagged("center"), "center coordinate")
         if explicit.size != dim + 1:
             raise reader.error("center has the wrong dimension")
@@ -213,8 +223,12 @@ def load_model(path) -> Model:
                 if not math.isfinite(c):
                     raise ModelFormatError(
                         f"line {first + k + 1}: slack coefficient {c} is not finite")
+        if (norm2 := float(_vdot(explicit, explicit)) + center.slack_norm2) > kappa2:
+            raise ModelFormatError(  # an overflow (inf) too; line first - 1 is the center
+                f"line {first - 1}: center squared norm {norm2} exceeds kappa^2")
         members = []
         count = reader.record("core", int)
+        start = reader.pos  # the block's k-th member is on line start + k + 1
         for line in reader.lines[reader.pos : reader.pos + count]:
             reader.pos += 1
             pid = int(line) if line.isdecimal() else None  # a bare id: no checks
@@ -235,6 +249,8 @@ def load_model(path) -> Model:
                         raise reader.error(f"member slack weight {weight} is not "
                                            f"the model's {params.slack_weight}")
                     if pid not in points:  # one point an id; versions 1, 2 repeat rows
+                        if (norm2 := float(_vdot(coords, coords))) > 2.0 * (1.0 + 1e-9):
+                            raise reader.error(f"member squared norm {norm2} exceeds 2")
                         points[pid] = AugPoint(coords, pid)
                     elif points[pid].explicit.tobytes() != coords.tobytes():
                         raise reader.error(f"member {pid} repeats with other coordinates")
@@ -244,6 +260,10 @@ def load_model(path) -> Model:
         for _ in range(count - len(members)):
             reader.next()  # raises: the block runs past the end of the file
         ids = {p.id for p in members}  # ids below points_seen, checked below
+        if len(ids) < count:  # a trained core lists each point once
+            k = next(k for k, p in enumerate(members) if p in members[:k])
+            raise ModelFormatError(
+                f"line {start + k + 1}: member {members[k].id} repeats in its core")
         if not ids.issuperset(coeffs):
             k, pid = next((k, pid) for k, pid in enumerate(coeffs) if pid not in ids)
             raise ModelFormatError(

@@ -312,6 +312,20 @@ def test_a_repeated_full_row_must_repeat_the_first_rows_bits(tmp_path):
         load_model(path)
 
 
+def test_a_slack_norm_that_overflows_names_its_center_line(tmp_path):
+    # Each coefficient is finite, but their squared sum is inf: the center,
+    # whose squared norm counts it, lies outside the sphere of radius kappa.
+    lines = V3_MODEL.read_text().splitlines()
+    center = lines.index("slack 3")  # the first center's line number, counted from 1
+    lines[center + 1 : center + 4] = [f"{line.split()[0]} 1e200"
+                                      for line in lines[center + 1 : center + 4]]
+    path = tmp_path / "overflow.bbsvm"
+    path.write_text("\n".join(lines) + "\n")
+    message = rf"^line {center}: center squared norm inf exceeds kappa\^2$"
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
 def test_model_file_rejects_other_versions(tmp_path, model_file):
     text = model_file.read_text().splitlines()
     text[0] = "BBSVM 4"
@@ -445,6 +459,12 @@ def _line_index(lines, where):
         ("ball", "ball nan", "ball radius nan is negative or not finite"),
         ("ball", "ball inf", "ball radius inf is negative or not finite"),
         ("ball", "ball -1.0", "ball radius -1.0 is negative or not finite"),
+        # Mapped points lie on the sphere of radius kappa = sqrt(2.1), their
+        # explicit blocks of squared norm 2: no trained center lies outside
+        # it, no radius is above 2 kappa and no full row is longer.
+        ("ball", "ball 2.9", "ball radius 2.9 exceeds 2 kappa"),
+        ("center", "center 1e100 0 0 0 0 1", "center squared norm 1e+200 exceeds kappa^2"),
+        ("center", "center 0 0 1e200 0 0 1", "center squared norm inf exceeds kappa^2"),
         ("center", "center 0 0 nan 0 0 1", "center coordinate nan is not finite"),
         ("center", "center 0 0 0 0 0 -inf", "center coordinate -inf is not finite"),
         ("center", "center 1 2", "center has the wrong dimension"),
@@ -475,6 +495,9 @@ def _line_index(lines, where):
         ("member", "0 1 0 nan 0 0 0 1 0.3", "member coordinate nan is not finite"),
         ("member", "0 1 0 0 0 0 0 inf 0.3", "member coordinate inf is not finite"),
         ("member", "0 1 0 0 0 0 0 1 w", "bad member slack weight 'w'"),
+        ("member", "0 1 0 3 0 0 0 1 0.31622776601683794", "member squared norm 10.0 exceeds 2"),
+        ("member", "0 1 0 0 1e200 0 0 1 0.31622776601683794",
+         "member squared norm inf exceeds 2"),
         # Every member sits at the model's slack weight, 1/sqrt(10) here.
         ("member", "0 1 0 0 0 0 0 1 0.3",
          "member slack weight 0.3 is not the model's 0.31622776601683794"),
@@ -538,6 +561,7 @@ def _later_block_line(lines, block, position):
         ("core", "r", "bad member id 'r'"),
         ("core", "999999", "member 999999 was not written earlier"),
         ("core", "1 2 3", "core member has the wrong field count"),
+        ("core", "{first}", "member {first} repeats in its core"),
     ],
 )
 def test_model_file_names_a_bad_line_inside_a_later_block(

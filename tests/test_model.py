@@ -318,6 +318,42 @@ def test_feeding_chunks_of_seven_keeps_the_one_pass_cover(C):
     assert len(chunked.finish().cover.cores) == len(whole.cover.cores) == 4
 
 
+def _one_object_an_id(cores) -> bool:
+    members = [p for cs in cores for p in cs.members]
+    return len({id(p) for p in members}) == len({p.id for p in members})
+
+
+@pytest.mark.parametrize("C", [math.inf, 1.0])
+def test_a_cover_holds_one_point_object_an_id(tmp_path, C):
+    # A merge takes each point object once, which is each id once only
+    # while the retained cores hold one object an id: after every point,
+    # including merges that discard balls, and after a save and a load.
+    discards = []
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(20, 200),
+        lookahead=st.sampled_from([0, 3, 10]),
+        eps=st.sampled_from([0.3, 0.1, 0.01]),
+    )
+    def check(seed, n, lookahead, eps):
+        examples = generate_synthetic(n, 4, 0.05, 0.05, seed=seed).examples
+        model = Model(ModelParams(dim=4, epsilon=eps, C=C, lookahead=lookahead))
+        for k in range(n):  # any chunking keeps the one-pass cover
+            cores = model.cover.cores
+            model.feed(examples[k : k + 1])
+            if model.cover.cores is not cores:  # a merge assigns a new list
+                discards.append(len(model.cover.cores) <= len(cores))
+            assert _one_object_an_id(model.cover.cores)
+        save_model(model.finish(), tmp_path / "m.bbsvm")
+        assert _one_object_an_id(model.cover.cores)
+        assert _one_object_an_id(load_model(tmp_path / "m.bbsvm").cover.cores)
+
+    check()
+    assert any(discards)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     size=st.integers(1, 12),
