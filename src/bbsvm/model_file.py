@@ -41,10 +41,11 @@ is above 2 (each bound 1e-9 wider for rounding; an overflow to inf exceeds
 it); a core block that lists one point twice; and a full row that repeats an
 earlier id with other bits.  A repeated row with the same bits loads as the
 first row's point, so a loaded cover holds one point an id, as a trained one
-does.  These checks run once a ball and once a distinct full row.  A slack
-block loads in one pass and a bare member id without a full row's checks; a
-slack block that fails is read again line by line, so every error still names
-its line.
+does.  One ``math.hypot`` a center and a full row gives the norm that shows
+a non-finite value (then looked for) and that the bounds test, squared.  A
+slack block loads in one pass and a bare member id without a full row's
+checks; a slack block that fails is read again line by line, so every error
+still names its line.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ import math
 
 import numpy as np
 
-from .cover import _vdot
 from .meb import AugPoint, Ball, Center, CoreSet
 from .model import Model, ModelParams
 
@@ -137,17 +137,19 @@ class _Reader:
         except ValueError:
             raise self.error(f"bad {what} {text!r}") from None
 
-    def floats(self, texts: list[str], what: str) -> np.ndarray:
-        """A record's values, all finite: float() also parses nan and inf."""
+    def floats(self, texts: list[str], what: str) -> tuple[np.ndarray, float]:
+        """A record's values, all finite (float() also parses nan and inf),
+        and their squared norm, which is inf when it overflows."""
         try:  # a record in one call; value by value only to name the first bad one
             values = list(map(float, texts))
         except ValueError:
             values = [self.number(v, what) for v in texts]
-        if not math.isfinite(sum(values)):  # one test a record; then find the value
+        norm = math.hypot(*values)  # inf only when a value or the norm itself is
+        if not math.isfinite(norm):  # one test a record; then look for the value
             for v in values:
                 if not math.isfinite(v):
                     raise self.error(f"{what} {v} is not finite")
-        return np.array(values)
+        return np.array(values), norm * norm
 
     def record(self, tag: str, kind=float):
         """The value of the one-value record ``tag`` (no value or two are bad);
@@ -195,7 +197,7 @@ def load_model(path) -> Model:
             raise reader.error(f"ball radius {radius} is negative or not finite")
         if radius > 2.0 * params.kappa * (1.0 + 1e-9):
             raise reader.error(f"ball radius {radius} exceeds 2 kappa")
-        explicit = reader.floats(reader.tagged("center"), "center coordinate")
+        explicit, norm2 = reader.floats(reader.tagged("center"), "center coordinate")
         if explicit.size != dim + 1:
             raise reader.error("center has the wrong dimension")
         count = reader.record("slack", int)
@@ -223,7 +225,7 @@ def load_model(path) -> Model:
                 if not math.isfinite(c):
                     raise ModelFormatError(
                         f"line {first + k + 1}: slack coefficient {c} is not finite")
-        if (norm2 := float(_vdot(explicit, explicit)) + center.slack_norm2) > kappa2:
+        if (norm2 := norm2 + center.slack_norm2) > kappa2:
             raise ModelFormatError(  # an overflow (inf) too; line first - 1 is the center
                 f"line {first - 1}: center squared norm {norm2} exceeds kappa^2")
         members = []
@@ -240,7 +242,7 @@ def load_model(path) -> Model:
                 if len(parts) > 1:
                     # label and weight are checked, not kept
                     label = reader.number(parts[1], "member label", int)
-                    coords = reader.floats(parts[2:-1], "member coordinate")
+                    coords, norm2 = reader.floats(parts[2:-1], "member coordinate")
                     weight = reader.number(parts[-1], "member slack weight")
                     if label != (int(coords[-1]) if abs(coords[-1]) == 1.0 else 0):
                         raise reader.error(f"member label {label} is not the sign of "
@@ -249,7 +251,7 @@ def load_model(path) -> Model:
                         raise reader.error(f"member slack weight {weight} is not "
                                            f"the model's {params.slack_weight}")
                     if pid not in points:  # one point an id; versions 1, 2 repeat rows
-                        if (norm2 := float(_vdot(coords, coords))) > 2.0 * (1.0 + 1e-9):
+                        if norm2 > 2.0 * (1.0 + 1e-9):
                             raise reader.error(f"member squared norm {norm2} exceeds 2")
                         points[pid] = AugPoint(coords, pid)
                     elif points[pid].explicit.tobytes() != coords.tobytes():

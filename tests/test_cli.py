@@ -495,7 +495,7 @@ def _line_index(lines, where):
         ("member", "0 1 0 nan 0 0 0 1 0.3", "member coordinate nan is not finite"),
         ("member", "0 1 0 0 0 0 0 inf 0.3", "member coordinate inf is not finite"),
         ("member", "0 1 0 0 0 0 0 1 w", "bad member slack weight 'w'"),
-        ("member", "0 1 0 3 0 0 0 1 0.31622776601683794", "member squared norm 10.0 exceeds 2"),
+        ("member", "0 1 2 2 0 0 0 1 0.31622776601683794", "member squared norm 9.0 exceeds 2"),
         ("member", "0 1 0 0 1e200 0 0 1 0.31622776601683794",
          "member squared norm inf exceeds 2"),
         # Every member sits at the model's slack weight, 1/sqrt(10) here.
