@@ -23,13 +23,10 @@ A core point is written in full once, where it first appears, and as its bare
 id in later balls, which load it as the same shared point.  Its ``<label>`` is
 the sign of its bias coordinate (the last float; 0 when that is not +-1) and
 its ``<slack_weight>`` the model's (1/sqrt(C), 0 for C=inf).  Both are checks,
-not data: no reader of an older version accepts a ``BBSVM 3`` file, and
-loading keeps neither.  Every float round-trips exactly, so a reloaded model
-predicts identically and continues the stream as the saved model would:
-``points_seen`` numbers the next training point and exceeds every member id,
-and each slack id is a member of its ball, listed once.  Versions 1 and 2
-write every member in full; version 1 lacks the delta, lookahead and
-points_seen records (epsilon/2, 10, largest member id + 1).
+not data: loading keeps neither.  Every float round-trips exactly, so a
+reloaded model predicts identically and continues the stream as the saved
+model would: ``points_seen`` numbers the next training point and exceeds
+every member id, and each slack id is a member of its ball, listed once.
 
 Loading refuses, naming the line: a radius that is negative or not finite; a
 center value, slack coefficient or member coordinate that is not finite (C is
@@ -37,10 +34,9 @@ the one record that may be inf); what training cannot produce, since mapped
 points lie on the sphere of radius kappa with explicit blocks of squared norm
 2: a radius above 2 kappa, a center (on its ``center`` line) whose squared
 norm with the slack part is above kappa^2, and a full row whose squared norm
-is above 2 (each bound 1e-9 wider for rounding; an overflow to inf exceeds
-it); a core block that lists one point twice; and a full row that repeats an
-earlier id with other bits.  A repeated row with the same bits loads as the
-first row's point, so a loaded cover holds one point an id, as a trained one
+is not 2 (each bound 1e-9 wider for rounding; an overflow to inf exceeds
+it); a core block that lists one point twice; and a full row for an id
+written earlier, so a loaded cover holds one point an id, as a trained one
 does.  One ``math.hypot`` a center and a full row gives the norm that shows
 a non-finite value (then looked for) and that the bounds test, squared.  A
 slack block loads in one pass and a bare member id without a full row's
@@ -166,25 +162,23 @@ def load_model(path) -> Model:
     header = reader.next()
     if len(header) != 2 or header[0] != MAGIC:
         raise ModelFormatError("not a BBSVM model file")
-    if header[1] not in ("1", "2", str(VERSION)):
+    if header[1] != str(VERSION):
         raise ModelFormatError(f"unsupported model format version {header[1]!r}")
-    v1 = header[1] == "1"
 
     kappa = reader.record("kappa")
     epsilon = reader.record("epsilon")
-    delta = None if v1 else reader.record("delta")
+    delta = reader.record("delta")
     C = reader.record("C")
     dim = reader.record("dim", int)
-    lookahead = ModelParams.lookahead if v1 else reader.record("lookahead", int)
-    points_seen = None if v1 else reader.record("points_seen", int)
+    lookahead = reader.record("lookahead", int)
+    points_seen = reader.record("points_seen", int)
     ball_count = reader.record("balls", int)
 
     try:
         params = ModelParams(dim, epsilon, C, lookahead, delta)
     except ValueError as err:  # the message opens with its field ("feature index": dim)
         field = "dim" if str(err).startswith("feature index") else str(err).split()[0]
-        line = reader.at.get(field, reader.at["epsilon"])  # v1's delta is epsilon/2
-        raise ModelFormatError(f"line {line}: {err}") from None
+        raise ModelFormatError(f"line {reader.at[field]}: {err}") from None
     if not abs(kappa - params.kappa) <= 1e-9 * params.kappa:  # NaN too
         raise ModelFormatError(f"line 2: kappa {kappa} is inconsistent with C")
 
@@ -240,6 +234,8 @@ def load_model(path) -> Model:
                     raise reader.error("core member has the wrong field count")
                 pid = reader.number(parts[0], "member id", int)
                 if len(parts) > 1:
+                    if pid in points:
+                        raise reader.error(f"member {pid} was written earlier")
                     # label and weight are checked, not kept
                     label = reader.number(parts[1], "member label", int)
                     coords, norm2 = reader.floats(parts[2:-1], "member coordinate")
@@ -250,12 +246,11 @@ def load_model(path) -> Model:
                     if weight != params.slack_weight:
                         raise reader.error(f"member slack weight {weight} is not "
                                            f"the model's {params.slack_weight}")
-                    if pid not in points:  # one point an id; versions 1, 2 repeat rows
-                        if norm2 > 2.0 * (1.0 + 1e-9):
-                            raise reader.error(f"member squared norm {norm2} exceeds 2")
-                        points[pid] = AugPoint(coords, pid)
-                    elif points[pid].explicit.tobytes() != coords.tobytes():
-                        raise reader.error(f"member {pid} repeats with other coordinates")
+                    if norm2 > 2.0 * (1.0 + 1e-9):
+                        raise reader.error(f"member squared norm {norm2} exceeds 2")
+                    if norm2 < 2.0 * (1.0 - 1e-9):
+                        raise reader.error(f"member squared norm {norm2} is below 2")
+                    points[pid] = AugPoint(coords, pid)
                 elif pid not in points:
                     raise reader.error(f"member {pid} was not written earlier")
             members.append(points[pid])
@@ -274,9 +269,7 @@ def load_model(path) -> Model:
     if reader.pos < len(reader.lines):
         raise ModelFormatError(f"line {reader.pos + 1}: record after the last ball")
 
-    if v1:
-        points_seen = max(points, default=-1) + 1
-    elif points_seen <= max(points, default=-1):
+    if points_seen <= max(points, default=-1):
         raise ModelFormatError(f"line {reader.at['points_seen']}: points_seen "
                                f"{points_seen} is not above every member id")
     model = Model(params)

@@ -113,12 +113,10 @@ def test_the_equivalence_check_repeats_itself_on_small_workloads(tmp_path):
     assert equivalence.compare(*runs)["by_workload"]["solve"]["accuracy_equal"] == 1
 
 
-def test_the_version_2_fixture_keeps_its_cover_digest():
-    # Its repeated full rows now load as one point an id (test_cli.py); the
-    # digest is that of the load that made a new point for each row.
-    model = load_model(Path(__file__).resolve().parent / "fixtures" / "v2_model.bbsvm")
+def test_the_version_3_fixture_keeps_its_cover_digest():
+    model = load_model(Path(__file__).resolve().parent / "fixtures" / "v3_model.bbsvm")
     assert bench_tests.worker.cover_digest(model) == (
-        "14c504525b269aa985b4fc238b13650afe1454b17b1ba72e1e02af7ed0669a90")
+        "c7e72ae69e6b725e5d0b951fd36620b960872d996192b44480570c7be37a5594")
 
 
 @settings(max_examples=30, deadline=None)

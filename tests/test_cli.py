@@ -211,12 +211,6 @@ def test_model_round_trip_predictions_exact(tmp_path, dataset_file, C):
     assert path.read_text() == again.read_text()
 
 
-# Written by save_model at commit 7b384cf, the last BBSVM 2 writer, from
-# v2_train.txt with these parameters.
-V2_MODEL = FIXTURES / "v2_model.bbsvm"
-V2_PARAMS = ModelParams(dim=3, epsilon=0.02, C=10.0, lookahead=5)
-
-
 # Written by save_model at commit aa361a2 from v3_train.txt (sparse rows of
 # both labels) with these parameters; it pins the writer's BBSVM 3 bytes.
 V3_MODEL = FIXTURES / "v3_model.bbsvm"
@@ -237,77 +231,15 @@ def test_model_file_version_3_fixture_pins_the_written_bytes(tmp_path):
     assert (tmp_path / "again.bbsvm").read_bytes() == V3_MODEL.read_bytes()
 
 
-def _fixture_balls(lines):
-    """Radius, center, slack items and member rows of each ball, read from
-    the text of a ``BBSVM 2`` file, where every member is a full row."""
-    balls, i = [], lines.index("balls 5") + 1
-    while i < len(lines):
-        radius, center = float(lines[i].split()[1]), lines[i + 1].split()[1:]
-        n_slack = int(lines[i + 2].split()[1])
-        slack = [line.split() for line in lines[i + 3 : i + 3 + n_slack]]
-        i += 3 + n_slack
-        n_core = int(lines[i].split()[1])
-        rows = [line.split() for line in lines[i + 1 : i + 1 + n_core]]
-        i += 1 + n_core
-        balls.append((
-            radius,
-            [float(t) for t in center],
-            [(int(pid), float(c)) for pid, c in slack],
-            [(int(r[0]), int(r[1]), [float(t) for t in r[2:-1]], float(r[-1]))
-             for r in rows],
-        ))
-    return balls
-
-
-def test_model_file_version_2_fixture_loads_its_records():
-    lines = V2_MODEL.read_text().splitlines()
-    assert lines[0] == "BBSVM 2" and "points_seen 40" in lines
-    model = load_model(V2_MODEL)
-    # Every member is a full row, and 31 rows name 15 ids: a repeated row
-    # loads as its id's first point, as training shares it.
-    members = [p for cs in model.cover.cores for p in cs.members]
-    assert len(members) == 31 and len({id(p) for p in members}) == 15
-    assert len({p.id for p in members}) == 15
-    assert model.params == V2_PARAMS and model.cover.points_seen == 40
-    assert [
-        (
-            cs.ball.radius,
-            cs.ball.center.explicit.tolist(),
-            list(cs.ball.center.slack_coeffs.items()),
-            # the label column is the bias coordinate
-            [(p.id, p.explicit[-1], p.explicit.tolist(), model.params.slack_weight)
-             for p in cs.members],
-        )
-        for cs in model.cover.cores
-    ] == _fixture_balls(lines)
-    assert any(cs.ball.center.slack_coeffs for cs in model.cover.cores)
-    # The fixture's cover labels every row of its training file correctly.
-    ds = load_libsvm(FIXTURES / "v2_train.txt")
-    labels = model.predict([ex.x for ex in ds.examples])
-    assert labels.tolist() == [ex.y for ex in ds.examples]
-
-
-def test_a_repeated_full_row_must_repeat_the_first_rows_bits(tmp_path):
-    # A bare id replaced by its full row loads as the same point, so the
-    # model saves the fixture's bytes again; with other bits it is refused.
+def test_a_full_row_for_an_id_written_earlier_is_refused(tmp_path):
+    # A bare id replaced by its full row: a cover holds one point an id.
     lines = V3_MODEL.read_text().splitlines()
     index = next(i for i, line in enumerate(lines) if len(line.split()) == 1)
     row = next(line for line in lines if line.split()[0] == lines[index]
                and len(line.split()) == V3_PARAMS.dim + 4)
     path = tmp_path / "repeated.bbsvm"
     path.write_text("\n".join(lines[:index] + [row] + lines[index + 1 :]) + "\n")
-    model = load_model(path)
-    members = [p for cs in model.cover.cores for p in cs.members]
-    assert len({id(p) for p in members}) == len({p.id for p in members})
-    save_model(model, tmp_path / "again.bbsvm")
-    assert (tmp_path / "again.bbsvm").read_bytes() == V3_MODEL.read_bytes()
-
-    fields = row.split()
-    k = next(k for k in range(2, len(fields) - 2) if float(fields[k]) != 0.0)
-    fields[k] = repr(float(fields[k]) / 2.0)  # a feature, not the bias
-    path.write_text("\n".join(lines[:index] + [" ".join(fields)] + lines[index + 1 :])
-                    + "\n")
-    message = f"^line {index + 1}: member {fields[0]} repeats with other coordinates$"
+    message = f"^line {index + 1}: member {lines[index]} was written earlier$"
     with pytest.raises(ModelFormatError, match=message):
         load_model(path)
 
@@ -327,13 +259,16 @@ def test_a_slack_norm_that_overflows_names_its_center_line(tmp_path):
 
 
 def test_model_file_rejects_other_versions(tmp_path, model_file):
+    # Only BBSVM 3, the format save_model writes, loads.
     text = model_file.read_text().splitlines()
-    text[0] = "BBSVM 4"
-    bad = tmp_path / "v4.bbsvm"
-    bad.write_text("\n".join(text) + "\n")
-    with pytest.raises(ModelFormatError, match="version"):
-        load_model(bad)
-    assert run_cli(["predict", "--model", str(bad), "--data", str(model_file)]) == 2
+    bad = tmp_path / "other.bbsvm"
+    for version in "124":
+        text[0] = f"BBSVM {version}"
+        bad.write_text("\n".join(text) + "\n")
+        message = f"^unsupported model format version '{version}'$"
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(bad)
+        assert run_cli(["predict", "--model", str(bad), "--data", str(model_file)]) == 2
 
     not_model = tmp_path / "junk.bbsvm"
     not_model.write_text("hello world\n")
@@ -362,44 +297,6 @@ def test_model_file_keeps_training_state(tmp_path):
     floats = [TrainingExample(ex.x, float(ex.y)) for ex in ds.examples]
     save_model(Model(params).train_stream(floats), tmp_path / "f.bbsvm")
     assert (tmp_path / "f.bbsvm").read_bytes() == (tmp_path / "m.bbsvm").read_bytes()
-
-
-def _version_1_copy(tmp_path):
-    """The v2 fixture without the records that version 1 lacks."""
-    lines = V2_MODEL.read_text().splitlines()
-    lines = ["BBSVM 1"] + [
-        line for line in lines[1:]
-        if line.split()[0] not in ("delta", "lookahead", "points_seen")
-    ]
-    v1 = tmp_path / "v1.bbsvm"
-    v1.write_text("\n".join(lines) + "\n")
-    return v1
-
-
-def _member_ids(model):
-    return set(core_point_ids(model.cover))
-
-
-def test_model_file_version_1_loads_with_defaults(tmp_path):
-    model, old = load_model(V2_MODEL), load_model(_version_1_copy(tmp_path))
-    assert old.params.delta == old.params.epsilon / 2.0
-    assert old.params.lookahead == 10
-    assert old.cover.points_seen == max(_member_ids(old)) + 1
-    assert old.params.C == model.params.C
-    xs = [ex.x for ex in load_libsvm(FIXTURES / "v2_train.txt").examples]
-    assert np.array_equal(old.predict(xs), model.predict(xs))
-
-
-def test_model_file_version_1_continues_with_fresh_ids(tmp_path):
-    # Without a count, training resumes past every member id, so no fresh
-    # point shares an id (and a slack axis) with a core point.
-    old = load_model(_version_1_copy(tmp_path))
-    before = _member_ids(old)
-    more = generate_synthetic(200, 3, 0.1, 0.05, seed=12)
-    old.train_stream(more.examples)
-    slack_ids = {pid for cs in old.cover.cores for pid in cs.ball.center.slack_coeffs}
-    fresh = (_member_ids(old) | slack_ids) - before
-    assert fresh and min(fresh) > max(before)
 
 
 def test_a_model_saved_after_a_partial_buffer_reloads_its_cover(tmp_path):
@@ -498,6 +395,8 @@ def _line_index(lines, where):
         ("member", "0 1 2 2 0 0 0 1 0.31622776601683794", "member squared norm 9.0 exceeds 2"),
         ("member", "0 1 0 0 1e200 0 0 1 0.31622776601683794",
          "member squared norm inf exceeds 2"),
+        ("member", "0 1 0.75 0 0 0 0 1 0.31622776601683794",
+         "member squared norm 1.5625 is below 2"),
         # Every member sits at the model's slack weight, 1/sqrt(10) here.
         ("member", "0 1 0 0 0 0 0 1 0.3",
          "member slack weight 0.3 is not the model's 0.31622776601683794"),
@@ -640,20 +539,9 @@ def test_model_file_names_a_misplaced_record_and_checks_kappa(tmp_path, model_fi
         load_model(bad)
 
 
-def test_a_version_1_file_names_the_epsilon_line_for_the_delta_it_implies(tmp_path):
-    # Version 1 has no delta record: its delta, epsilon/2, is 0 here.
-    v1 = _version_1_copy(tmp_path)
-    lines = v1.read_text().splitlines()
-    assert lines[2].startswith("epsilon ")
-    lines[2] = "epsilon 5e-324"
-    v1.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ModelFormatError, match="^line 3: delta must be positive and finite$"):
-        load_model(v1)
-
-
 def test_model_file_rejects_records_after_the_last_ball(tmp_path):
-    lines = V2_MODEL.read_text().splitlines()
-    lines[lines.index("balls 5")] = "balls 1"
+    lines = V3_MODEL.read_text().splitlines()
+    lines[lines.index("balls 4")] = "balls 1"
     bad = tmp_path / "short.bbsvm"
     bad.write_text("\n".join(lines) + "\n")
     balls = [i for i, line in enumerate(lines) if line.startswith("ball ")]
