@@ -244,6 +244,32 @@ def test_a_full_row_for_an_id_written_earlier_is_refused(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("drift, refusal", [
+    (0.5e-9, None), (-0.5e-9, None),
+    (2e-9, "exceeds 2"), (-2e-9, "is below 2"),
+])
+def test_a_member_norm_loads_within_rounding_of_2_and_no_further(tmp_path, drift, refusal):
+    # The first full row, [y x_hat; y], becomes [1, a, 0, ..., 0; 1] with
+    # a^2 = 1 + 2 drift: squared norm 2 (1 + drift), against the load's
+    # bounds of 2 (1 -+ 1e-9).
+    lines = V3_MODEL.read_text().splitlines()
+    index = lines.index("core 3") + 1
+    parts = lines[index].split()
+    coords = [math.sqrt(1.0 + 2.0 * drift)] + [0.0] * (V3_PARAMS.dim - 1) + [1.0]
+    lines[index] = " ".join([parts[0], "1", *map(repr, coords), parts[-1]])
+    path = tmp_path / "drift.bbsvm"
+    path.write_text("\n".join(lines) + "\n")
+    if refusal is None:
+        loaded = load_model(path)
+        point = next(p for cs in loaded.cover.cores for p in cs.members
+                     if p.id == int(parts[0]))
+        assert point.explicit.tolist() == coords
+    else:
+        message = rf"^line {index + 1}: member squared norm \S+ {refusal}$"
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+
 def test_a_slack_norm_that_overflows_names_its_center_line(tmp_path):
     # Each coefficient is finite, but their squared sum is inf: the center,
     # whose squared norm counts it, lies outside the sphere of radius kappa.
