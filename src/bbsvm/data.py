@@ -5,10 +5,12 @@ for linearly separable data, and reproducible stream shuffling.
 
 The parser reads ``CHUNK_CHARS`` (about 128 KB) of text at a time.  A chunk
 of canonical lines (ASCII ``<label> <index>:<value> ...``, single spaces, no
-comment, tab or blank line) is read by one ``np.fromstring`` call; any other
-chunk, and any with an error, goes line by line, which gives the same rows
-and names the line of the first error.  A chunk's transient copies peak at
-about 0.4 MB, three times its text.  Index arrays are read-only: a row with
+comment, tab or blank line) is read by one NumPy call: ``np.loadtxt``, the C
+table reader, when every line has the same number of features, else
+``np.fromstring``.  Any other chunk, and any with an error, goes line by
+line, which gives the same rows and names the line of the first error.  A
+chunk's transient copies peak at about 0.4 MB, three times its text, with
+either reader.  Index arrays are read-only: a row with
 indices 1..k, parsed or synthetic, holds the one live ``_dense_index(k)``,
 which tells the feature map to copy it; other rows view their chunk's copy.
 A dense 20-feature row keeps about 380 bytes, 160 its values.
@@ -17,6 +19,7 @@ A dense 20-feature row keeps about 380 bytes, 160 its values.
 from __future__ import annotations
 
 import gzip
+import io
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -146,9 +149,12 @@ def _parse_block(lines: list[str]) -> tuple[list, int] | None:
 
     Taken are ASCII lines ``<label>( <index>:<value>)+``, single-spaced, with
     only digits and signs in an index and ``0-9+-.eE`` in a word.  No word
-    then holds whitespace, and ``np.fromstring`` raises on a word it cannot
-    read whole, so at the right count each word is one number, with the bits
-    ``float`` gives it.
+    then holds whitespace.  Lines that all have the same feature count are a
+    table, read by ``np.loadtxt``, which refuses a field it cannot convert
+    whole; lines of mixed counts, which it cannot read, go to
+    ``np.fromstring``, which raises on a word it cannot read whole.  So at
+    the right count each word is one number, with the bits ``float`` gives
+    it, whichever reader read it.
     """
     raw = "".join(lines).encode("ascii", "replace")  # a "?" fails the checks
     if not raw.endswith(b"\n"):
@@ -162,13 +168,19 @@ def _parse_block(lines: list[str]) -> tuple[list, int] | None:
         or signs.count(b" :") != features  # an index is digits and signs
     ):
         return None
+    text = raw.replace(b":", b" ")
+    # Free each copy of the text before the rows are built: kept to the end,
+    # the text raised the peak RSS of the ingest benchmark from 81 to 92 MB.
+    del raw, signs
     try:
-        numbers = np.fromstring(raw.replace(b":", b" "), sep=" ")
+        if marks == marks[: marks.index(b"\n") + 1] * n:  # one width: a table
+            numbers = np.loadtxt(
+                io.BytesIO(text), delimiter=" ", comments=None).reshape(-1)
+        else:
+            numbers = np.fromstring(text, sep=" ")
     except ValueError:
         return None
-    # Free the text before the rows are built: kept to the end, it raised the
-    # peak RSS of the ingest benchmark from 81 to 92 MB.
-    del raw, signs
+    del text
     if numbers.size != n + 2 * features:
         return None
     # Line r is 2 k_r marks and "\n": its newline's offset less r is twice

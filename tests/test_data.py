@@ -1,6 +1,7 @@
 import gc
 import gzip
 import io
+import re
 import tracemalloc
 import weakref
 from unittest.mock import patch
@@ -54,7 +55,8 @@ def test_parse_errors_carry_line_numbers():
         parse_libsvm("+1 0:1\n")  # indices are 1-based
     with pytest.raises(DataFormatError, match="line 3"):
         parse_libsvm("+1 1:1\n-1 1:1\n+1 1:x\n")
-    # "1e" passes the block parser's character checks, and np.fromstring refuses it.
+    # "1e" passes the block parser's character checks; the table reader, which
+    # reads this one-line chunk, refuses it, as np.fromstring does.
     with pytest.raises(DataFormatError, match="^line 1: malformed feature '1:1e'$"):
         parse_libsvm("+1 1:1e\n")
     with pytest.raises(DataFormatError, match="no features"):
@@ -178,13 +180,44 @@ _TEXT = st.lists(
 ).map("".join)
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=_TEXT, chunk=st.integers(1, 400), final_newline=st.booleans())
+@st.composite
+def _table_line(draw, width):
+    """A single-spaced line of ``width`` features; one in eight may hold an
+    odd label or word."""
+    indices = sorted(draw(st.sets(st.integers(1, 40), min_size=width, max_size=width)))
+    odd = draw(st.integers(0, 7)) == 0
+    label = draw(st.sampled_from(_LABELS if odd else ["+1", "-1", "1", "0"]))
+    values = _VALUES if odd else _FLOATS
+    return " ".join([label] + [f"{i}:{draw(values)}" for i in indices]) + "\n"
+
+
+# What the block parser's byte checks take, as a pattern.
+_CANONICAL = re.compile(r"[-+0-9.eE]+( [-+0-9]+:[-+0-9.eE]+)+\n?")
+
+@st.composite
+def _table_text(draw):
+    """Two or more single-spaced lines, most often of one width, so that
+    multi-line chunks reach the table reader; else of mixed widths."""
+    one = draw(st.integers(1, 4))
+    widths = st.integers(1, 4) if draw(st.integers(0, 3)) == 0 else st.just(one)
+    return "".join(draw(_table_line(draw(widths))) for _ in range(draw(st.integers(2, 30))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(_TEXT, _table_text()),
+       chunk=st.one_of(st.integers(1, 400), st.integers(400, 4000)),
+       final_newline=st.booleans())
 # An empty word ("3:") and a word with whitespace in it ("3\t4") must not
 # cancel out in the count of numbers.
 @example(text="+1 3:\n", chunk=1, final_newline=True)
 @example(text="+1 1:\t 2:3\t4\n", chunk=1, final_newline=True)
 @example(text="+1 9007199254740993:1\n", chunk=1, final_newline=True)  # 2**53 + 1
+# Two-line chunks of one width: odd but valid words, then a non-finite value
+# and a word that is not a number, each named by the line parser.
+@example(text="+1 1:-0 2:1E5 3:.5\n-1 1:5. 2:+2 3:4.9e-324\n", chunk=400,
+         final_newline=True)
+@example(text="+1 1:1 2:1e999\n-1 1:2 2:3\n", chunk=400, final_newline=True)
+@example(text="+1 1:1 2:3\n-1 1:2 2:1e\n", chunk=400, final_newline=True)
 def test_the_chunked_parser_equals_the_line_parser(text, chunk, final_newline):
     if not final_newline:
         text = text.rstrip("\n")
@@ -195,6 +228,17 @@ def test_the_chunked_parser_equals_the_line_parser(text, chunk, final_newline):
         assert _outcome(lambda: parse_libsvm(io.StringIO(text))) == _outcome(
             _line_parser(io.StringIO(text))
         )
+        # A block reader's bad rows would fail a check and fall back to the
+        # line parser, so the rows above cannot show them; that every valid
+        # canonical chunk is read as a block can.
+        for lines in data._chunks(io.StringIO(text)):
+            outcome = _outcome(_line_parser(lines))
+            if (
+                all(_CANONICAL.fullmatch(line) for line in lines)
+                and not isinstance(outcome, str)
+                and outcome[0] < 2**53  # the dim
+            ):
+                assert data._parse_block(lines) is not None
 
 
 def test_canonical_lines_take_the_block_path():
