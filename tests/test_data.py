@@ -191,16 +191,17 @@ def _table_line(draw, width):
     return " ".join([label] + [f"{i}:{draw(values)}" for i in indices]) + "\n"
 
 
-# What the block parser's byte checks take, as a pattern.
-_CANONICAL = re.compile(r"[-+0-9.eE]+( [-+0-9]+:[-+0-9.eE]+)+\n?")
-
 @st.composite
 def _table_text(draw):
     """Two or more single-spaced lines, most often of one width, so that
-    multi-line chunks reach the table reader; else of mixed widths."""
-    one = draw(st.integers(1, 4))
-    widths = st.integers(1, 4) if draw(st.integers(0, 3)) == 0 else st.just(one)
+    multi-line chunks reach the table reader; one text in four mixes widths."""
+    width = draw(st.integers(1, 4))
+    widths = st.integers(1, 4) if draw(st.integers(0, 3)) == 0 else st.just(width)
     return "".join(draw(_table_line(draw(widths))) for _ in range(draw(st.integers(2, 30))))
+
+
+# What the block parser's byte checks take, as a pattern.
+_CANONICAL = re.compile(r"[-+0-9.eE]+( [-+0-9]+:[-+0-9.eE]+)+\n?")
 
 
 @settings(max_examples=400, deadline=None)
