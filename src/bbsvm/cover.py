@@ -8,28 +8,26 @@ of the buffer together with every retained core point, and older balls with
 radius below eps/4 of the new radius are discarded.  The solver starts warm
 from the newest ball's core, which is among those inputs (see ``approx_meb``).
 
-The escape test settles each ball first in dot form, ``d~ = N - 2 c.e + P``,
-with ``N = |c|^2 + s`` (``s`` the center's slack norm squared) cached with
-the balls and ``P = e.e + sw^2`` (``sw`` the slack weight) one dot: the
-newest ball, which holds most points that do not escape, takes one more
-dot, and all balls one ``centers @ e``.  A ball is settled only when the
-bound ``tau = 8 g (N + P + L) + n 2^-1060`` shows on which side of its
-squared expanded radius ``L`` the difference form ``D^`` (subtract, square,
-row sum, add ``s`` and ``sw^2``) lies; ``n`` is the explicit length, ``u =
-2^-53`` and ``g = (n+4) u / (1 - (n+4) u)``.  With ``D`` the exact value: a
-dot product of length n in any order, FMA included, errs by at most ``g sum
-|c_i e_i| <= g (|c|^2 + |e|^2) / 2``, so the errors of ``N``, ``P`` and
-``2 c.e`` and two roundings give ``|d~ - D| <= 3 g (N + P)``; every term of
-the difference form is nonnegative and carries at most n + 4 roundings, so
-``|D^ - D| <= g D <= 2 g (N + P)``.  The other ``3 g (N + P) + 8 g L`` of
-``tau`` covers the roundings of ``tau`` and of ``d~ +- tau``, and ``n
-2^-1060`` covers underflow (at most 2^-1075 a product).  So, in finite
-arithmetic, ``d~ + tau <= L`` proves ``D^ <= L`` and ``d~ - tau > L`` proves
-``D^ > L``; a NaN fails both.  A point that the newest ball, or else any
-ball, certainly holds is inside; one that every ball certainly leaves out
-escapes; else (``|d~ - L| < tau`` for a ball; ``8 g`` is 2.2e-14 for 20
-features) the difference form over all balls decides.  Every decision is
-the difference form's, bit for bit.
+The escape test decides in two stages.  First the newest ball, which holds
+most points that do not escape, in dot form: ``d~ = N - 2 c.e + P``, with
+``N = |c|^2 + s`` (``s`` the center's slack norm squared) cached with that
+ball and ``P = e.e + sw^2`` (``sw`` the slack weight), two dots a point.  It
+settles the point as inside only when the bound ``tau = 8 g (N + P + L) + n
+2^-1060`` shows that the difference form ``D^`` (subtract, square, row sum,
+add ``s`` and ``sw^2``) lies within its squared expanded radius ``L``; ``n``
+is the explicit length, ``u = 2^-53`` and ``g = (n+4) u / (1 - (n+4) u)``.
+With ``D`` the exact value: a dot product of length n in any order, FMA
+included, errs by at most ``g sum |c_i e_i| <= g (|c|^2 + |e|^2) / 2``, so
+the errors of ``N``, ``P`` and ``2 c.e`` and two roundings give ``|d~ - D|
+<= 3 g (N + P)``; every term of the difference form is nonnegative and
+carries at most n + 4 roundings, so ``|D^ - D| <= g D <= 2 g (N + P)``.  The
+other ``3 g (N + P) + 8 g L`` of ``tau`` covers the roundings of ``tau`` and
+of ``d~ + tau``, and ``n 2^-1060`` covers underflow (at most 2^-1075 a
+product).  So, in finite arithmetic, ``d~ + tau <= L`` proves ``D^ <= L``; a
+NaN fails it.  Every other point, outside the newest ball or within ``tau``
+of its boundary (``8 g`` is 2.2e-14 for 20 features), goes to the second
+stage, the difference form over all balls, which decides.  Every decision
+is the difference form's, bit for bit.
 """
 
 from __future__ import annotations
@@ -76,23 +74,17 @@ class BlurredBallCover:
         ``p`` must be fresh, its id a stream position no center has met (see
         ``offer``): it then meets no center's slack coefficients, so its
         squared distance is the explicit part plus both slack norms.  The
-        decisions are the difference form's; the dot form with its rounding
-        bound settles nearly all of them (see the module docstring).
+        decisions are the difference form's; the newest ball's dot form, with
+        its rounding bound, settles most points that are inside (see the
+        module docstring).
         """
         if self._centers is None:
             return True
         e = p.explicit
         P = float(_vdot(e, e)) + self._slack2
-        slop = self._gamma8 * P  # the point's share of every ball's tau
         d = self._newest_norm2 - 2.0 * float(_vdot(self._newest, e)) + P
-        if d + (self._newest_tau + slop) <= self._newest_limit2:
-            return False
-        d = self._norms2 - 2.0 * (self._centers @ e) + P
-        tau = self._taus + slop
-        if (d + tau <= self._limits2).any():  # some ball certainly holds p
-            return False
-        if (d - tau > self._limits2).all():  # no ball can hold p
-            return True
+        if d + (self._newest_tau + self._gamma8 * P) <= self._newest_limit2:
+            return False  # the newest ball certainly holds p
         d = self._centers - e
         d *= d
         d2 = _row_sum(d, axis=1)
@@ -173,13 +165,13 @@ class BlurredBallCover:
         self._radii = np.array([cs.ball.radius for cs in cores])
         limits = (1.0 + self.params.epsilon) * self._radii
         self._limits2 = limits * limits
-        self._newest_limit2 = float(self._limits2[-1])
-        # The dot form's center norms and the balls' share of its bound tau.
+        # The newest ball's dot form: its center norm and share of the bound tau.
         n = self._centers.shape[1]
         self._gamma8 = 8.0 * (n + 4) * 2.0**-53 / (1.0 - (n + 4) * 2.0**-53)
-        self._norms2 = np.vecdot(self._centers, self._centers) + self._center_slack2
-        self._taus = self._gamma8 * (self._norms2 + self._limits2) + n * 2.0**-1060
-        self._newest_norm2, self._newest_tau = float(self._norms2[-1]), float(self._taus[-1])
+        norm2 = float(_vdot(self._newest, self._newest)) + float(self._center_slack2[-1])
+        limit2 = float(self._limits2[-1])
+        self._newest_norm2, self._newest_limit2 = norm2, limit2
+        self._newest_tau = self._gamma8 * (norm2 + limit2) + n * 2.0**-1060
 
     def query_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """(centers, center slack norms squared, radii) or None when empty."""

@@ -102,10 +102,11 @@ def epsilon_sweep(
     setting trains before run k+1 of any, so a machine that slows down
     or speeds up during the sweep shifts every setting's mean time alike.
     """
-    if not epsilons:
-        raise ValueError("epsilons must be nonempty")
-    if len(set(epsilons)) != len(epsilons):
-        raise ValueError("duplicate epsilon values")
+    for name, values in (("epsilon", epsilons), ("lookahead", lookaheads)):
+        if not values:
+            raise ValueError(f"{name}s must be nonempty")
+        if len(set(values)) != len(values):
+            raise ValueError(f"duplicate {name} values")
     settings = [
         replace(params, epsilon=eps, lookahead=L, delta=None)
         for eps in sorted(epsilons)

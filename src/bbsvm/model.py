@@ -44,6 +44,10 @@ class ModelParams:
     delta: float | None = None
 
     def __post_init__(self):
+        for name in ("dim", "lookahead"):  # a float or bool would train, then not save
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.dim < 1:
             raise ValueError("dim must be positive")
         if (self.dim + 1) * 8 > np.iinfo(np.intp).max:  # NumPy's array size limit

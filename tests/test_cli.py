@@ -631,6 +631,19 @@ def test_sweep_duplicate_epsilon_exits_2(tmp_path, dataset_file):
     ) == 2
 
 
+@pytest.mark.parametrize("lookaheads, message", [
+    ("", "lookaheads must be nonempty"), ("10,10", "duplicate lookahead values")])
+def test_a_sweep_lookahead_list_that_is_empty_or_repeats_exits_2(
+        tmp_path, dataset_file, capsys, lookaheads, message):
+    out = tmp_path / "sweep.csv"
+    assert run_cli(
+        ["sweep", "--train", str(dataset_file), "--test", str(dataset_file),
+         "--epsilons", "0.1", "--lookaheads", lookaheads, "--runs", "1", "--out", str(out)]
+    ) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gzip_input_accepted(tmp_path, dataset_file):
     import gzip
 

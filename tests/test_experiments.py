@@ -159,6 +159,18 @@ def test_sweep_rejects_duplicates_and_empty():
         epsilon_sweep(train, test, params, [], runs=1)
 
 
+def test_sweep_rejects_duplicate_and_empty_lookaheads(monkeypatch):
+    # An empty list once shuffled the stream for every run and returned no
+    # report; a repeated one trained every run twice.  Both fail before a run.
+    train, test = split(20, 10, 3, 0.0, seed=0)
+    params = ModelParams(dim=3)
+    monkeypatch.setattr(experiments, "shuffled", None)  # any run would call it
+    with pytest.raises(ValueError, match="^duplicate lookahead values$"):
+        epsilon_sweep(train, test, params, [0.1], runs=1, lookaheads=(10, 0, 10))
+    with pytest.raises(ValueError, match="^lookaheads must be nonempty$"):
+        epsilon_sweep(train, test, params, [0.1], runs=1, lookaheads=())
+
+
 def test_csv_output_shape():
     train, test = split(60, 30, 3, 0.2, seed=2)
     rows = epsilon_sweep(train, test, ModelParams(dim=3), [0.05], runs=1, lookaheads=(0,))

@@ -258,6 +258,27 @@ def test_params_refuse_an_epsilon_or_delta_that_is_not_positive_and_finite(field
         ModelParams(dim=5, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["dim", "lookahead"])
+@pytest.mark.parametrize("value", [2.5, 5.0, np.float64(3.0), True, "5"])
+def test_params_refuse_a_dim_or_lookahead_that_is_not_an_integer(field, value):
+    # lookahead=2.5 or True once trained and saved a file that load_model
+    # refused ("bad lookahead '2.5'"), and dim=5.0 failed at the first point.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, not "):
+        ModelParams(**{"dim": 5, field: value})
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_dim_and_lookahead_train_and_round_trip(tmp_path, kind):
+    examples = generate_synthetic(60, 3, 0.1, 0.0, seed=2).examples
+    model = Model(ModelParams(dim=kind(3), lookahead=kind(4))).train_stream(examples)
+    save_model(model, tmp_path / "m.bbsvm")
+    loaded = load_model(tmp_path / "m.bbsvm")
+    assert loaded.params == ModelParams(dim=3, lookahead=4)
+    save_model(Model(ModelParams(dim=3, lookahead=4)).train_stream(examples),
+               tmp_path / "plain.bbsvm")
+    assert (tmp_path / "m.bbsvm").read_bytes() == (tmp_path / "plain.bbsvm").read_bytes()
+
+
 # ---------------------------------------------------------------- train_stream
 
 
